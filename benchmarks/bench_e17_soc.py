@@ -3,8 +3,7 @@
 Every cell runs with the conservation audit enabled (a single
 unaccounted event in any pump raises inside the driver); cells at/above
 10^6 exercise the sharded worker pool, shard-local correlators behind
-the global campaign merger, batched sink delivery, and the vectorized
-workload generator.  The 10^7 cell must finish inside the 120 s
+the global campaign merger, and the vectorized workload generator.  The 10^7 cell must finish inside the 120 s
 acceptance bound, and the whole run writes ``BENCH_E17.json`` -- the
 machine-readable perf record (per-cell wall clock + correlate-path
 throughput vs the same-run per-event baseline) that the CI smoke job
@@ -89,10 +88,9 @@ def test_e17_fleet_soc(benchmark, report):
     for fleet in (100_000, 1_000_000, 10_000_000):
         assert rows[fleet]["compromised_soc"] * 2 < rows[fleet]["compromised_nosoc"]
 
-    # Perf trajectory: batched correlate fast path vs the same-run
-    # per-event baseline (the pre-optimization reference engine).
+    # Perf trajectory: the incremental and columnar correlate paths vs
+    # the same-run reference engine (recorded; CI gates it in e17_smoke).
     correlate = e17_soc.correlate_microbench()
-    assert correlate["speedup_batched_vs_reference"] >= 5.0, correlate
 
     cells = [
         {"fleet": float(fleet),

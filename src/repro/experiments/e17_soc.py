@@ -9,8 +9,8 @@ for every cell also runs the identical scenario with response disabled
 (the no-SOC baseline).  Cells at/above :data:`SHARDED_FLEET` run the
 scale-out configuration -- a :class:`~repro.soc.shard.ShardedIngestPipeline`
 worker pool, **shard-local correlators** stitched by the
-:class:`~repro.soc.correlate.GlobalCampaignMerger`, batched sink
-delivery end-to-end, and the numpy-vectorized workload generator -- and
+:class:`~repro.soc.correlate.GlobalCampaignMerger`, and the
+numpy-vectorized workload generator -- and
 *every* cell runs with the :class:`~repro.soc.shard.ConservationAudit`
 enabled, so a single unaccounted event in any pump of any cell fails
 the experiment loudly.  Reported per cell:
@@ -28,9 +28,10 @@ Deterministic for a fixed seed: all stochastic draws go through named
 in a side dict so the published tables stay bit-reproducible).
 
 :func:`correlate_microbench` is the perf-trajectory probe behind
-``BENCH_E17.json``: it times the batched correlate fast path against the
-same-run per-event baseline (:class:`ReferenceCorrelationEngine`, the
-pre-optimization implementation kept as executable spec).
+``BENCH_E17.json``: it times the incremental and columnar correlate
+paths against the same-run per-event baseline
+(:class:`ReferenceCorrelationEngine`, the pre-optimization
+implementation kept as executable spec).
 """
 
 from __future__ import annotations
@@ -80,10 +81,8 @@ K = 3
 #: Fleet size at/above which a cell runs the scale-out configuration:
 #: a sharded ingest pipeline (NUM_SHARDS workers sharing a budget of
 #: CAPACITY_EPS per worker), shard-local correlators behind the global
-#: campaign merger, batched sink delivery, and the numpy-vectorized
-#: workload generator.  Cells below it keep the single-pipeline,
-#: single-correlator configuration (batched delivery is on everywhere --
-#: it is differential-tested byte-identical to per-event).
+#: campaign merger, and the numpy-vectorized workload generator.  Cells
+#: below it keep the single-pipeline, single-correlator configuration.
 SHARDED_FLEET = 1_000_000
 NUM_SHARDS = 8
 #: The 10^7 cell widens the worker pool again: twice the shards, twice
@@ -100,9 +99,10 @@ GIGA_SHARDS = 32
 
 def _cell_config(n_vehicles: int, capacity_eps: float) -> Dict[str, object]:
     """Scale knobs for one cell: sharded + vectorized at/above
-    :data:`SHARDED_FLEET` (columnar correlate delivery -- differential-
-    tested byte-identical to batched/per-event, so it is purely a wall
-    clock knob), the seed-identical scalar setup below it.
+    :data:`SHARDED_FLEET` (columnar correlate from 10^7 vehicles --
+    differential-tested byte-identical to the scalar path, so it is
+    purely a wall clock knob), the seed-identical scalar setup below
+    it.
 
     ``k`` scales with the fleet (:func:`~repro.soc.correlate.\
 k_for_fleet_size`): a fixed k=3 tuned at 10^6 vehicles is crossed by
@@ -280,18 +280,15 @@ def correlate_microbench(
     n_signatures: int = 64,
     window_s: float = 4.0,
     per_sig_window: int = 256,
-    batch_size: int = 64,
     columnar_batch: int = 4096,
     reps: int = 1,
 ) -> Dict[str, float]:
-    """Time the four correlate paths on one identical stream:
+    """Time the three correlate paths on one identical stream:
 
     - ``reference_eps``: the pre-optimization per-event engine
       (:class:`ReferenceCorrelationEngine`, O(window) per event) -- the
       same-run baseline the speedups are measured against;
     - ``per_event_eps``: the incremental engine fed one event per call;
-    - ``batched_eps``: the incremental engine fed ``batch_size``-event
-      batches via :meth:`~CorrelationEngine.observe_batch`;
     - ``columnar_eps``: the incremental engine fed
       ``columnar_batch``-event :class:`~repro.soc.columnar.ColumnarBatch`
       arrays via :meth:`~CorrelationEngine.observe_columnar`, with the
@@ -299,9 +296,9 @@ def correlate_microbench(
       ``columnar_e2e_eps`` combines both, which is what the live
       dispatch path pays).
 
-    ``columnar_batch`` defaults wider than ``batch_size``: the columnar
-    path's per-batch numpy/dict setup amortizes across the batch, and
-    the 10^7+-vehicle cells drain thousands of events per pump anyway.
+    ``columnar_batch`` defaults wide: the columnar path's per-batch
+    numpy/dict setup amortizes across the batch, and the
+    10^7+-vehicle cells drain thousands of events per pump anyway.
     ``k`` is set unreachably high so no campaign fires and every event
     pays the full window-maintenance cost; lateness is unbounded and
     dedup disabled so nothing short-circuits.
@@ -311,7 +308,7 @@ def correlate_microbench(
     single run measures scheduler luck as much as the code, and the CI
     speedup gates want the ratio of capabilities, not of noise draws.
 
-    Beyond timing, the run asserts all four engines finished with equal
+    Beyond timing, the run asserts all three engines finished with equal
     counters/watermark and that the columnar engine's ``snapshot()`` is
     byte-identical to the per-event engine's -- every bench run is also
     a differential check.
@@ -335,14 +332,6 @@ def correlate_microbench(
             per_event.observe(event)
         per_event_s = min(per_event_s, time.perf_counter() - t0)
 
-    batched_s = float("inf")
-    for _ in range(reps):
-        batched = CorrelationEngine(**kwargs)
-        t0 = time.perf_counter()
-        for start in range(0, n_events, batch_size):
-            batched.observe_batch(events[start:start + batch_size])
-        batched_s = min(batched_s, time.perf_counter() - t0)
-
     build_s = columnar_s = float("inf")
     for _ in range(reps):
         interner = StringInterner()
@@ -357,12 +346,12 @@ def correlate_microbench(
             columnar.observe_columnar(cb)
         columnar_s = min(columnar_s, time.perf_counter() - t0)
 
-    # The four paths must have done the same correlation work, and the
+    # The three paths must have done the same correlation work, and the
     # columnar engine must land in byte-identical state.
     assert (reference.metrics() == per_event.metrics()
-            == batched.metrics() == columnar.metrics())
+            == columnar.metrics())
     assert (reference.watermark == per_event.watermark
-            == batched.watermark == columnar.watermark)
+            == columnar.watermark)
     assert (json.dumps(columnar.snapshot(), sort_keys=True)
             == json.dumps(per_event.snapshot(), sort_keys=True))
 
@@ -370,14 +359,11 @@ def correlate_microbench(
         "events": float(n_events),
         "reference_eps": n_events / reference_s,
         "per_event_eps": n_events / per_event_s,
-        "batched_eps": n_events / batched_s,
         "columnar_eps": n_events / columnar_s,
         "columnar_build_eps": n_events / build_s,
         "columnar_e2e_eps": n_events / (build_s + columnar_s),
         "columnar_batch": float(columnar_batch),
         "columnar_fallbacks": float(columnar.columnar_fallbacks),
-        "speedup_batched_vs_reference": reference_s / batched_s,
-        "speedup_batched_vs_per_event": per_event_s / batched_s,
         "speedup_per_event_vs_reference": reference_s / per_event_s,
         "speedup_columnar_vs_per_event": per_event_s / columnar_s,
         "speedup_columnar_vs_reference": reference_s / columnar_s,

@@ -14,8 +14,8 @@ one region offline mid-campaign: the hub's watermark gate (the price of
 byte-deterministic verdicts) stalls the *global* merge until the
 partition heals, and the cell records the catch-up.
 ``availability_cell`` prices the alternative under the *same* outage:
-an ``optimistic`` hub pages provisionally at the no-partition twin's
-latency and then reconciles -- the cell asserts the reconciled snapshot
+a hub with a finite staleness budget (*optimistic*) pages
+provisionally at the no-partition twin's latency and then reconciles -- the cell asserts the reconciled snapshot
 is byte-identical to the strict gate's and that the amendment counters
 tie out, and reports the latency ratios the smoke gate enforces.
 
@@ -29,6 +29,7 @@ by ``benchmarks/e18_smoke.py`` against ``BENCH_E18.json``.
 from __future__ import annotations
 
 import json
+import math
 import random
 import shutil
 import tempfile
@@ -198,16 +199,12 @@ def build_federated_scene(
     outages: Optional[Dict[str, Sequence[Tuple[float, float]]]] = None,
     root=None,
     max_batch_records: int = 256,
-    columnar: bool = False,
-    consistency: str = "strict",
-    staleness_budget_s: float = 2.0,
+    staleness_budget_s: float = math.inf,
 ) -> FederatedScene:
     """Wire M regional SOCs, their shipping legs, and the hub.
 
-    ``columnar`` switches every regional center *and* the hub's replay
-    apply onto the columnar batch path; log bytes, shipments, and the
-    hub's final state are byte-identical either way (the federation
-    columnar tests pin it), so it is purely a throughput knob.
+    ``staleness_budget_s`` is the hub's partition budget (``inf``:
+    strict gate; finite: optimistic episodes).
 
     Every region gets its own derived RNG universe, a disjoint
     vehicle-id space (``id_base``), a :class:`DurableStore` under
@@ -236,7 +233,7 @@ def build_federated_scene(
         store = DurableStore(base / name)
         center = SecurityOperationsCenter(
             sim, fleet, k=K, respond=False, num_shards=num_shards,
-            store=store, columnar=columnar,
+            store=store,
         )
         generator = FleetWorkloadGenerator(sim, region_rng, fleet,
                                            center.pipeline)
@@ -254,8 +251,6 @@ def build_federated_scene(
             profile = center.federation_profile()
 
     hub = FederationHub.from_profile(list(region_names), profile,
-                                     columnar=columnar,
-                                     consistency=consistency,
                                      staleness_budget_s=staleness_budget_s)
     return FederatedScene(sim=sim, hub=hub, regions=regions,
                           root=base, _owns_root=owns_root,
@@ -415,21 +410,20 @@ def partition_heal_cell(
 
 def _outage_run(
     seed: int,
-    consistency: str,
+    staleness_budget_s: float,
     outage: Optional[Tuple[float, float]],
     partitioned_region: str,
     lag_s: float,
-    staleness_budget_s: float,
     duration_s: float,
     n_per_region: int,
 ) -> Dict[str, object]:
-    """One federated run (optionally partitioned) in one consistency
-    mode; returns latency stats, the canonical analytic snapshot, and
+    """One federated run (optionally partitioned) under one staleness
+    budget; returns latency stats, the canonical analytic snapshot, and
     the hub's amendment counters."""
     scene = build_federated_scene(
         seed=seed, lag_s=lag_s,
         outages=({partitioned_region: (outage,)} if outage else None),
-        n_per_region=n_per_region, consistency=consistency,
+        n_per_region=n_per_region,
         staleness_budget_s=staleness_budget_s)
     try:
         scene.start()
@@ -464,9 +458,11 @@ def availability_cell(
     """The determinism-vs-availability cell: one outage schedule, three
     runs.
 
-    1. **Twin** -- no partition, strict mode: the latency floor.
-    2. **Strict under partition** -- the watermark gate stalls the
-       global merge until heal; latency is dominated by the outage.
+    1. **Twin** -- no partition, infinite budget (strict): the latency
+       floor.
+    2. **Strict under partition** -- infinite budget: the watermark gate
+       stalls the global merge until heal; latency is dominated by the
+       outage.
     3. **Optimistic under partition** -- after ``staleness_budget_s`` of
        stall the hub rides ahead provisionally and reconciles at heal.
 
@@ -479,14 +475,13 @@ def availability_cell(
     CI-gated availability figure (strict's same ratio is reported
     alongside as the price of the gate).
     """
-    twin = _outage_run(seed, "strict", None, partitioned_region, lag_s,
-                       staleness_budget_s, duration_s, n_per_region)
-    strict = _outage_run(seed, "strict", outage, partitioned_region,
-                         lag_s, staleness_budget_s, duration_s,
-                         n_per_region)
-    optimistic = _outage_run(seed, "optimistic", outage,
-                             partitioned_region, lag_s,
-                             staleness_budget_s, duration_s, n_per_region)
+    twin = _outage_run(seed, math.inf, None, partitioned_region, lag_s,
+                       duration_s, n_per_region)
+    strict = _outage_run(seed, math.inf, outage, partitioned_region,
+                         lag_s, duration_s, n_per_region)
+    optimistic = _outage_run(seed, staleness_budget_s, outage,
+                             partitioned_region, lag_s, duration_s,
+                             n_per_region)
     if optimistic["snapshot"] != strict["snapshot"]:
         raise AssertionError(
             "optimistic reconciliation diverged from the strict gate")

@@ -19,12 +19,14 @@ out.  This package is that backend:
 - :mod:`repro.soc.correlate` -- sliding-window cross-vehicle
   correlation: per-vehicle dedup, duplicate/late-event hygiene, and
   k-vehicles-in-window campaign detection.
-- :mod:`repro.soc.columnar` -- the columnar hot path: drained batches
-  rebuilt once as numpy arrays (:class:`~repro.soc.columnar.ColumnarBatch`)
-  at dispatch time and correlated by
+- :mod:`repro.soc.columnar` -- the columnar correlate form: a drained
+  batch rebuilt as numpy arrays (:class:`~repro.soc.columnar.ColumnarBatch`)
+  by the center's batch sink and correlated by
   :meth:`~repro.soc.correlate.CorrelationEngine.observe_columnar` in a
   handful of C-level operations -- byte-identical analytic state to the
-  per-event path (differential/Hypothesis-tested), >10x the throughput.
+  per-event path (differential/Hypothesis-tested), >10x its in-engine
+  throughput.  Opt-in per center (``columnar=True``, the fleet-scale
+  E17 cells); the service and the hub run the scalar path.
 - :mod:`repro.soc.incident` -- the incident lifecycle state machine with
   ASIL-based severity scoring.
 - :mod:`repro.soc.respond` -- closed-loop remediation: authenticated
@@ -46,10 +48,10 @@ out.  This package is that backend:
   :class:`~repro.soc.federation.FederationHub` whose watermark-gated
   replay makes the fleet-wide campaign verdicts independent of delivery
   interleaving -- differential-tested identical to a single global SOC
-  fed the union stream.  ``consistency="optimistic"`` trades the stall
-  during a partition for provisional verdicts plus a deterministic
-  reconciliation (confirm/amend/retract amendments) that restores
-  byte-identity with the strict gate.
+  fed the union stream.  A finite ``staleness_budget_s`` (default
+  ``inf``: strict) trades the stall during a partition for provisional
+  verdicts plus a deterministic reconciliation (confirm/amend/retract
+  amendments) that restores byte-identity with the strict gate.
 - :mod:`repro.soc.chaos` -- seeded fault injection: a declarative
   :class:`~repro.soc.chaos.FaultPlan` (region outages, WAN degradation,
   torn shipments, worker SIGKILLs) driven against a live federated

@@ -8,16 +8,17 @@ dict (the shape E17 publishes and the determinism tests pin).
 Correlation topology scales with the ingest topology:
 
 - ``num_shards == 1``: one :class:`~repro.soc.correlate.CorrelationEngine`
-  fed straight off the pipeline (batched by default -- one Python call
-  per drained batch via ``add_batch_sink`` / ``observe_batch`` -- with
-  ``batched=False`` keeping the one-call-per-event path the differential
-  tests compare against);
+  fed straight off the pipeline, one batch-sink call per drained batch;
 - ``num_shards > 1``: one **shard-local** engine per ingest shard plus a
   :class:`~repro.soc.correlate.GlobalCampaignMerger` that stitches the
   local verdicts (and, under region sharding, sub-threshold cross-shard
   windows) into fleet-wide campaigns after every pump.  Merged campaigns
   are adopted back into every engine so spread attribution stays exact
   and one event is never correlated twice.
+
+Every stage consumes the pipeline the same way: a batch sink taking the
+drained ``List[SecurityEvent]``.  The archival tap is registered first
+(write-ahead), then the correlator sink.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.safety import Asil
 from repro.sim import Simulator
-from repro.soc.columnar import ColumnarBatch
+from repro.soc.columnar import ColumnarBatch, StringInterner, build_batch
 from repro.soc.correlate import (
     CampaignDetection,
     CorrelationEngine,
@@ -53,18 +54,17 @@ class SecurityOperationsCenter:
     E17 baseline: everything is ingested and correlated, but no incident
     ever reaches containment -- the fleet burns.
 
-    ``batched`` selects batch delivery end-to-end (list-per-drained-batch
-    sinks feeding ``observe_batch``); the per-event path remains only as
-    the differential baseline.  ``columnar`` goes one further: drained
-    batches are rebuilt once as
-    :class:`~repro.soc.columnar.ColumnarBatch` arrays at dispatch and fed
-    through ``observe_columnar`` (and, when a store is attached, archived
-    via :meth:`~repro.soc.store.EventLog.append_columnar` -- same record
-    bytes, so recovery and federation replay are mode-agnostic).  All
-    three modes are byte-identical in final analytic state; the
-    differential tests pin it.  ``shard_local_correlate`` (default: on
-    whenever ``num_shards > 1``) gives every ingest shard its own
-    correlator, stitched by a :class:`GlobalCampaignMerger` each pump.
+    Correlation runs the scalar path (``observe_batch``) by default.
+    ``columnar`` makes the correlator sink rebuild each drained batch as
+    :class:`~repro.soc.columnar.ColumnarBatch` arrays (with a
+    center-owned interner) and feed ``observe_columnar``; the final
+    analytic state is byte-identical either way (the differential tests
+    pin it), and the archived log bytes do not depend on it.  Only the
+    fleet-scale E17 cells set it: on the service workloads columnar
+    costs more CPU and memory per event than the scalar path.
+    ``shard_local_correlate`` (default: on whenever ``num_shards > 1``)
+    gives every ingest shard its own correlator, stitched by a
+    :class:`GlobalCampaignMerger` each pump.
     """
 
     def __init__(
@@ -85,7 +85,6 @@ class SecurityOperationsCenter:
         num_shards: int = 1,
         shard_key: Optional[ShardKeyFn] = None,
         audit: bool = True,
-        batched: bool = True,
         columnar: bool = False,
         shard_local_correlate: Optional[bool] = None,
         store: Optional[DurableStore] = None,
@@ -130,24 +129,16 @@ class SecurityOperationsCenter:
 
         # Archival taps go in *before* the correlator sinks (write-ahead:
         # by the time analytics sees a batch it is already in the log).
-        # In columnar mode the tap consumes the same ColumnarBatch the
-        # correlators do (append_columnar serializes its retained event
-        # list through the unchanged record codec, so the log bytes are
-        # mode-independent); sink order within the columnar fan-out
-        # preserves write-ahead.
         if store is not None:
             if isinstance(self.pipeline, ShardedIngestPipeline):
                 for index, shard in enumerate(self.pipeline.shards):
-                    if columnar:
-                        shard.add_columnar_sink(
-                            self._archive_columnar_handler(index))
-                    else:
-                        shard.add_batch_sink(self._archive_handler(index))
-            elif columnar:
-                self.pipeline.add_columnar_sink(
-                    self._archive_columnar_handler(0))
+                    shard.add_batch_sink(self._archive_handler(index))
             else:
                 self.pipeline.add_batch_sink(self._archive_handler(0))
+        # Interner ids are batch-local grouping labels, so one interner
+        # serves every engine of this center.
+        self._interner: Optional[StringInterner] = (
+            StringInterner() if columnar else None)
 
         def _engine() -> CorrelationEngine:
             return CorrelationEngine(
@@ -166,23 +157,12 @@ class SecurityOperationsCenter:
                 GlobalCampaignMerger(window_s=window_s, k=k)
             )
             for index, shard in enumerate(self.pipeline.shards):
-                if columnar:
-                    shard.add_columnar_sink(
-                        self._shard_columnar_handler(index))
-                elif batched:
-                    shard.add_batch_sink(self._shard_batch_handler(index))
-                else:
-                    shard.add_sink(self._shard_event_handler(index))
+                shard.add_batch_sink(self._shard_batch_handler(index))
         else:
             self.correlator = _engine()
             self.correlators = [self.correlator]
             self.merger = None
-            if columnar:
-                self.pipeline.add_columnar_sink(self._on_columnar)
-            elif batched:
-                self.pipeline.add_batch_sink(self._on_batch)
-            else:
-                self.pipeline.add_sink(self._on_event)
+            self.pipeline.add_batch_sink(self._on_batch)
 
         self.tracker = IncidentTracker()
         self.responder: Optional[ResponseOrchestrator] = (
@@ -285,15 +265,13 @@ class SecurityOperationsCenter:
     # ------------------------------------------------------------------
     # Correlation sinks
     # ------------------------------------------------------------------
-    def _on_event(self, now: float, event: SecurityEvent) -> None:
-        detection = self.correlator.observe(event)
-        if detection is not None:
-            self._open_incident(
-                detection, DEFAULT_SOURCE_SEVERITY.get(event.source, Asil.A))
-        elif self.correlator.is_flagged(event.signature):
-            self.tracker.attach_vehicle(event.signature, event.vehicle_id)
-
     def _on_batch(self, now: float, events: List[SecurityEvent]) -> None:
+        """Single-engine sink: correlate the batch, open an incident per
+        detection and attach every verdict-less event whose signature is
+        flagged, in batch order."""
+        if self._interner is not None:
+            self._on_columnar(build_batch(events, self._interner))
+            return
         correlator = self.correlator
         tracker = self.tracker
         for event, detection in zip(events, correlator.observe_batch(events)):
@@ -304,11 +282,12 @@ class SecurityOperationsCenter:
             elif correlator.is_flagged(event.signature):
                 tracker.attach_vehicle(event.signature, event.vehicle_id)
 
-    def _on_columnar(self, now: float, batch: ColumnarBatch) -> None:
-        """Single-engine columnar sink.  Detections and flagged-signature
-        hits come back as batch indices; replaying them merged in index
-        order reproduces ``_on_batch``'s exact open/attach interleaving,
-        so the incident tracker's state is byte-identical across modes.
+    def _on_columnar(self, batch: ColumnarBatch) -> None:
+        """Columnar form of :meth:`_on_batch`.  Detections and
+        flagged-signature hits come back as batch indices; replaying
+        them merged in index order reproduces the scalar open/attach
+        interleaving, so the incident tracker's state is byte-identical
+        across modes.
         """
         result = self.correlator.observe_columnar(batch, track_hits=True)
         if not result.detections and not result.hits:
@@ -331,26 +310,17 @@ class SecurityOperationsCenter:
                 detection,
                 DEFAULT_SOURCE_SEVERITY.get(events[j].source, Asil.A))
 
-    def _shard_columnar_handler(self, index: int):
-        """Shard-local columnar observe; verdicts surface at merge time
-        (no ``track_hits`` -- spread attribution happens in the merger),
-        mirroring :meth:`_shard_batch_handler`.  Binds the shard index so
-        :meth:`adopt_analytics` rewires recovered engines."""
-        def handle(now: float, batch: ColumnarBatch) -> None:
-            self.correlators[index].observe_columnar(batch)
-        return handle
-
     def _shard_batch_handler(self, index: int):
-        """Shard-local batched observe; verdicts surface at merge time.
-        Binds the shard *index*, not the engine object, so adopting
-        recovered engines (:meth:`adopt_analytics`) rewires the sinks."""
+        """Shard-local observe; verdicts surface at merge time (spread
+        attribution happens in the merger).  Binds the shard *index*,
+        not the engine object, so adopting recovered engines
+        (:meth:`adopt_analytics`) rewires the sinks."""
         def handle(now: float, events: List[SecurityEvent]) -> None:
-            self.correlators[index].observe_batch(events)
-        return handle
-
-    def _shard_event_handler(self, index: int):
-        def handle(now: float, event: SecurityEvent) -> None:
-            self.correlators[index].observe(event)
+            engine = self.correlators[index]
+            if self._interner is not None:
+                engine.observe_columnar(build_batch(events, self._interner))
+            else:
+                engine.observe_batch(events)
         return handle
 
     def _archive_handler(self, index: int):
@@ -361,18 +331,11 @@ class SecurityOperationsCenter:
             log.append_batch(now, index, events)
         return archive
 
-    def _archive_columnar_handler(self, index: int):
-        """Columnar-mode archival tap: same log bytes as the batch tap
-        (``append_columnar`` serializes the batch's retained events
-        through the unchanged codec)."""
-        log = self.store.log
-
-        def archive(now: float, batch: ColumnarBatch) -> None:
-            log.append_columnar(now, index, batch)
-        return archive
-
     def _merge_campaigns(self) -> None:
         if self.merger is None:
+            # No merger consumes the dirty set; drain it every pump or it
+            # grows with every distinct signature (recovery mirrors this).
+            self.correlator.pop_dirty()
             return
         new_detections, new_vehicles = self.merger.merge(self.correlators)
         for detection in new_detections:
@@ -644,7 +607,9 @@ analytics_snapshot`) to the uninterrupted run at the same pump boundary
             last_seq = record.seq
             pumps += 1
             pump_no = record.pump_no
-            if merger is not None:
+            if merger is None:
+                engines[0].pop_dirty()
+            else:
                 new_detections, new_vehicles = merger.merge(engines)
                 for detection in new_detections:
                     for engine in engines:

@@ -30,8 +30,8 @@ Fleet-scale fast path (the 10^7-vehicle E17 cell):
   window size instead of the O(w) set-rebuild + max()-rescan the
   :class:`ReferenceCorrelationEngine` (the original implementation,
   kept as the executable spec) pays per event;
-- :meth:`CorrelationEngine.observe_batch` consumes a whole dispatched
-  batch with hot state in locals, differential-tested equivalent to
+- :meth:`CorrelationEngine.observe_columnar` consumes a whole drained
+  batch as numpy columns, differential-tested byte-identical to
   per-event :meth:`~CorrelationEngine.observe`;
 - dedup/duplicate bookkeeping is **bounded**: ids and per-vehicle
   timestamps older than the watermark minus the retention horizon are
@@ -64,8 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # bloom false-positive buildup) on very long sweep-free streams.
 _MAX_LEDGER_CHUNKS = 64
 
-#: Below this size the columnar machinery costs more than it saves; the
-#: engine silently delegates to ``observe_batch`` (identical semantics).
+#: Below this size the columnar machinery costs more than it saves;
+#: ``observe_columnar`` silently falls back to per-event ``observe``
+#: (identical semantics).
 COLUMNAR_MIN_BATCH = 16
 
 
@@ -190,7 +191,7 @@ class ColumnarResult:
     (exactly where ``observe_batch``'s verdict list would be non-None).
     ``hits`` lists, in batch-index order, the verdict-less events whose
     signature is flagged once the batch is fully observed -- the same
-    predicate the center's batched handler evaluates per event
+    predicate the center's scalar sink evaluates per event
     (``verdict is None and is_flagged(signature)``), so campaign-spread
     attribution stays byte-identical across delivery paths.  ``hits`` is
     only populated when the caller asks (``track_hits=True``); shard
@@ -288,7 +289,7 @@ class CorrelationEngine:
         # Columnar-path telemetry.  Deliberately *not* part of
         # ``snapshot()``: which path fed the engine is an implementation
         # detail, and including it would break the byte-identity contract
-        # between columnar-, batch- and per-event-fed engines.
+        # between columnar- and scalar-fed engines.
         self.columnar_batches = 0
         self.columnar_fallbacks = 0
         self.columnar_group_replays = 0
@@ -343,73 +344,10 @@ class CorrelationEngine:
     def observe_batch(
         self, events: Sequence[SecurityEvent]
     ) -> List[Optional[CampaignDetection]]:
-        """Feed a dispatched batch; returns per-event verdicts.
-
-        Semantically identical to ``[self.observe(e) for e in events]``
-        (the Hypothesis differential pins detections, every counter, and
-        the watermark), but with the hot state in locals and one Python
-        call per *batch* instead of per event.
-        """
-        if self._seen_chunks or self._lbk_chunks:
-            self._fold_ledgers()
-        out: List[Optional[CampaignDetection]] = []
-        append = out.append
-        seen = self._seen_ids
-        last_by_key = self._last_by_key
-        flagged = self._flagged
-        campaign_vehicles = self._campaign_vehicles
-        dirty = self._dirty
-        max_lateness = self.max_lateness_s
-        dedup_window = self.dedup_window_s
-        retention = self._retention_s
-        min_severity = self.min_severity
-        window_insert = self._window_insert
-
-        observed = duplicates = late = low = deduped = 0
-        for event in events:
-            observed += 1
-            t = event.time
-            eid = event.event_id
-            if eid in seen:
-                duplicates += 1
-                append(None)
-                continue
-            seen[eid] = t
-            if t < self.watermark - max_lateness:
-                late += 1
-                append(None)
-                continue
-            if t > self.watermark:
-                self.watermark = t
-                if t - self._last_sweep_wm >= retention:
-                    self._sweep()
-            if event.severity < min_severity:
-                low += 1
-                append(None)
-                continue
-            key = (event.vehicle_id, event.signature)
-            last = last_by_key.get(key)
-            if last is not None and abs(t - last) <= dedup_window:
-                deduped += 1
-                if t > last:
-                    last_by_key[key] = t
-                append(None)
-                continue
-            last_by_key[key] = t
-            sig = event.signature
-            if sig in flagged:
-                campaign_vehicles[sig].add(event.vehicle_id)
-                dirty.add(sig)
-                append(None)
-                continue
-            append(window_insert(sig, t, event.vehicle_id))
-
-        self.observed += observed
-        self.duplicate_ids += duplicates
-        self.late_dropped += late
-        self.low_severity_ignored += low
-        self.deduped += deduped
-        return out
+        """Feed a dispatched batch; returns per-event verdicts, exactly
+        ``[self.observe(e) for e in events]``."""
+        observe = self.observe
+        return [observe(event) for event in events]
 
     # ------------------------------------------------------------------
     def _window_insert(
@@ -1185,7 +1123,7 @@ class ReferenceCorrelationEngine:
     grow without bound.  It exists so that (a) the Hypothesis
     differential tests can prove :class:`CorrelationEngine` equivalent
     inside the retention horizon, and (b) the E17 bench can report the
-    batched fast path's speedup against the *same-run* per-event
+    incremental engine's speedup against the *same-run* reference
     baseline (``BENCH_E17.json``).
     """
 

@@ -36,10 +36,10 @@ calls:
 The price of that determinism is strict consistency: a partitioned
 region freezes its frontier, which stalls the *global* merge until the
 partition heals (the hub cannot prove order without it).  E18's
-partition/heal cell measures exactly that trade -- and
-``consistency="optimistic"`` buys the availability back.  When every
-region blocking the gate has been stale past ``staleness_budget_s``
-the hub freezes a **reconciliation frontier** (snapshots of the
+partition/heal cell measures exactly that trade -- and a finite
+``staleness_budget_s`` buys the availability back.  When every region
+blocking the gate has been stale past the budget the hub freezes a
+**reconciliation frontier** (snapshots of the
 analytic state at the last provably-ordered point), keeps applying the
 healthy regions' records beyond it, and tags the resulting verdicts
 ``provisional=True``.  When the laggard catches up -- or is declared
@@ -56,13 +56,13 @@ same shipments (the differential property in
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.soc.center import SecurityOperationsCenter
-from repro.soc.columnar import StringInterner, build_batch
 from repro.soc.correlate import (
     CampaignDetection,
     CorrelationEngine,
@@ -405,18 +405,12 @@ class _AnalyticState:
                    IncidentTracker.from_snapshot(base["tracker"]))
 
     def apply(self, region: str, record: LogRecord, *,
-              provisional: bool = False, columnar: bool = False,
-              interner: Optional[StringInterner] = None,
-              ) -> List[CampaignDetection]:
+              provisional: bool = False) -> List[CampaignDetection]:
         """Apply one log record; returns the fleet-wide detections it
         produced (empty for batch records)."""
         if record.kind == "batch":
-            if columnar:
-                self.engines[region][record.shard].observe_columnar(
-                    build_batch(list(record.events), interner))
-            else:
-                self.engines[region][record.shard].observe_batch(
-                    list(record.events))
+            self.engines[region][record.shard].observe_batch(
+                list(record.events))
             return []
         # Pump marker: the region merged campaigns here; the hub merges
         # fleet-wide, exactly as `recover_soc_state` replays a marker.
@@ -445,12 +439,13 @@ class FederationHub:
     :meth:`SecurityOperationsCenter.federation_profile` exports exactly
     this shape (:meth:`from_profile` consumes it).
 
-    ``consistency`` picks the partition behavior:
+    ``staleness_budget_s`` picks the partition behavior:
 
-    - ``"strict"`` (default): the watermark gate stalls the global merge
-      until order is provable.  Verdicts are final the moment they fire.
-    - ``"optimistic"``: when *every* region blocking the gate has made
-      no watermark progress for longer than ``staleness_budget_s``, the
+    - ``math.inf`` (default, *strict*): the watermark gate stalls the
+      global merge until order is provable.  Verdicts are final the
+      moment they fire.
+    - finite (*optimistic*): when *every* region blocking the gate has
+      made no watermark progress for longer than the budget, the
       hub freezes the reconciliation base and keeps applying the healthy
       regions' records provisionally (an **episode**).  Verdicts fired
       inside an episode open ``provisional=True`` incidents and are
@@ -468,20 +463,15 @@ class FederationHub:
                  window_s: float = 8.0, k: int = 3,
                  dedup_window_s: float = 4.0,
                  max_lateness_s: float = 2.0,
-                 columnar: bool = False,
-                 consistency: str = "strict",
-                 staleness_budget_s: float = 2.0) -> None:
+                 staleness_budget_s: float = math.inf) -> None:
         if not regions:
             raise ValueError("a federation needs at least one region")
         if len(set(regions)) != len(regions):
             raise ValueError("region names must be unique")
-        if consistency not in ("strict", "optimistic"):
-            raise ValueError(f"unknown consistency mode {consistency!r}")
-        if staleness_budget_s < 0:
+        if not staleness_budget_s >= 0:  # also rejects NaN
             raise ValueError("staleness_budget_s must be >= 0")
         self.regions: List[str] = list(regions)
         self.num_shards = num_shards
-        self.consistency = consistency
         self.staleness_budget_s = staleness_budget_s
         self.receivers: Dict[str, SegmentReceiver] = {
             r: SegmentReceiver(r) for r in self.regions}
@@ -499,15 +489,6 @@ class FederationHub:
         self.pumps_applied = 0
         self.stalled_rounds = 0
         self.corrupt_unrouted = 0
-        # Columnar apply path: replayed batch records are rebuilt as
-        # ColumnarBatch arrays and fed through observe_columnar.  Off by
-        # default (replay is rarely the bottleneck; E18's bench gate pins
-        # the default path) and byte-identical when on -- the
-        # differential tests run the hub both ways.  Replica engines
-        # treat interner ids as batch-local labels, so one hub-wide
-        # interner is sound across regions and shards.
-        self.columnar = columnar
-        self._interner: Optional[StringInterner] = None
         # --- partition observability + optimistic episodes ------------
         # _bound[r]: dispatch_t of r's last *contiguously known* record
         # (applied or buffered without gaps) -- the best provable lower
@@ -560,20 +541,17 @@ class FederationHub:
     @classmethod
     def from_profile(cls, regions: Sequence[str],
                      profile: Dict[str, object],
-                     columnar: bool = False,
-                     consistency: str = "strict",
-                     staleness_budget_s: float = 2.0) -> "FederationHub":
+                     staleness_budget_s: float = math.inf
+                     ) -> "FederationHub":
         """Build a hub from one region's
         :meth:`~repro.soc.center.SecurityOperationsCenter.\
 federation_profile` (regions in a federation share a configuration).
-        ``columnar``, ``consistency`` and ``staleness_budget_s`` are
-        hub-local (how *this* process applies replayed batches and rides
+        ``staleness_budget_s`` is hub-local (how *this* process rides
         out partitions), not part of the shared profile."""
         return cls(regions, int(profile["num_shards"]),
                    window_s=profile["window_s"], k=profile["k"],
                    dedup_window_s=profile["dedup_window_s"],
                    max_lateness_s=profile["max_lateness_s"],
-                   columnar=columnar, consistency=consistency,
                    staleness_budget_s=staleness_budget_s)
 
     # ------------------------------------------------------------------
@@ -643,9 +621,9 @@ federation_profile` (regions in a federation share a configuration).
         the frontier must stall: an announced frontier ``t`` still
         admits a future record *at* ``t``.
 
-        In ``optimistic`` mode a stall where every blocking region has
-        exceeded ``staleness_budget_s`` opens an episode instead of
-        stalling: the base state is frozen and records apply
+        With a finite ``staleness_budget_s``, a stall where every
+        blocking region has exceeded the budget opens an episode instead
+        of stalling: the base state is frozen and records apply
         provisionally (unordered across regions, still seq-ordered
         within each).  The episode closes via :meth:`_reconcile` once
         every live region's bound provably passes the episode's records.
@@ -680,10 +658,8 @@ federation_profile` (regions in a federation share a configuration).
                     if (self._frontier[region], index) <= best_key:
                         blockers.append(region)
                 if blockers:
-                    if (self.consistency == "optimistic"
-                            and all(self.stall_age_s(r)
-                                    > self.staleness_budget_s
-                                    for r in blockers)):
+                    if all(self.stall_age_s(r) > self.staleness_budget_s
+                           for r in blockers):
                         self._begin_episode()
                     else:
                         self.stalled_rounds += 1
@@ -706,11 +682,8 @@ federation_profile` (regions in a federation share a configuration).
         self.records_applied += 1
         if record.kind != "batch":
             self.pumps_applied += 1
-        if self.columnar and self._interner is None:
-            self._interner = StringInterner()
         new_detections = self._state.apply(
-            region, record, provisional=self._episode_active,
-            columnar=self.columnar, interner=self._interner)
+            region, record, provisional=self._episode_active)
         if self._episode_active:
             self._suffix.append((region, record))
             key = (record.dispatch_t, self._region_index[region])
@@ -790,8 +763,6 @@ federation_profile` (regions in a federation share a configuration).
         shadow = _AnalyticState.from_snapshots(self.regions, self._base)
         shadow_detections: List[CampaignDetection] = []
         for region, record in suffix:
-            # Scalar replay on purpose: columnar apply is byte-identical
-            # (pinned since PR 6) and reconciliation is off the hot path.
             shadow_detections.extend(shadow.apply(region, record))
         shadow_by_sig = {d.signature: d for d in shadow_detections}
         old_tracker = self._state.tracker

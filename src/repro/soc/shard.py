@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.safety import Asil
-from repro.soc.columnar import ColumnarBatch
 from repro.soc.events import SecurityEvent
 from repro.soc.ingest import IngestPipeline, ShedPolicy
 
@@ -286,30 +285,15 @@ class ShardedIngestPipeline:
     # ------------------------------------------------------------------
     # Front door
     # ------------------------------------------------------------------
-    def add_sink(self, sink: Callable[[float, SecurityEvent], None]) -> None:
-        for shard in self.shards:
-            shard.add_sink(sink)
-
     def add_batch_sink(
         self, sink: Callable[[float, List[SecurityEvent]], None]
     ) -> None:
         """Register a batch consumer on every shard: drained events are
-        delivered per shard as lists (one Python call per batch, not per
-        event), in the same order the per-event sinks would see them.
+        delivered per shard as lists (one Python call per batch).
         Shard-*local* consumers (e.g. per-shard correlators) register on
         ``shards[i]`` directly instead."""
         for shard in self.shards:
             shard.add_batch_sink(sink)
-
-    def add_columnar_sink(
-        self, sink: Callable[[float, ColumnarBatch], None]
-    ) -> None:
-        """Register a columnar consumer on every shard: drained batches
-        are delivered as :class:`~repro.soc.columnar.ColumnarBatch`
-        (built once per drain, shared across sinks).  Shard-*local*
-        consumers register on ``shards[i]`` directly instead."""
-        for shard in self.shards:
-            shard.add_columnar_sink(sink)
 
     def shard_of(self, event: SecurityEvent) -> int:
         return self.shard_key(event, self.num_shards)

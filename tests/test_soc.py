@@ -184,7 +184,8 @@ class TestIngestPipeline:
     def test_sink_sees_events_with_latency_accounted(self):
         pipe = IngestPipeline(capacity_eps=100.0)
         seen = []
-        pipe.add_sink(lambda now, e: seen.append((now, e.vehicle_id)))
+        pipe.add_batch_sink(
+            lambda now, batch: seen.extend((now, e.vehicle_id) for e in batch))
         pipe.offer(0.0, ev("v1", "s", 0.0))
         pipe.pump(2.0)
         assert seen == [(2.0, "v1")]

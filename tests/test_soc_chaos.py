@@ -17,7 +17,9 @@ conservation violations and zero admitted-batch ACK loss.
 """
 
 import json
+import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,7 @@ from repro.soc import (
     encode_shipment,
     make_event,
 )
+from repro.experiments import e18_federation
 from repro.experiments.e18_federation import build_federated_scene
 
 
@@ -290,16 +293,15 @@ def _campaign_blob(region, vehicles, sig="chaos.sig", t0=0.25,
 
 class TestOptimisticHub:
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="unknown consistency"):
-            FederationHub(["a"], 1, consistency="eventual")
-        with pytest.raises(ValueError, match="staleness_budget_s"):
-            FederationHub(["a"], 1, consistency="optimistic",
-                          staleness_budget_s=-1.0)
+        # NaN compares false against everything: a hub built with it
+        # would silently never open an episode.
+        for budget in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="staleness_budget_s"):
+                FederationHub(["a"], 1, staleness_budget_s=budget)
 
     def _stalled_hub(self, budget=0.5):
         """region-a has a full campaign buffered; region-b is silent."""
         hub = FederationHub(["region-a", "region-b"], 1,
-                            consistency="optimistic",
                             staleness_budget_s=budget)
         hub.receive(_campaign_blob("region-a", ["v1", "v2", "v3"]))
         return hub
@@ -320,8 +322,8 @@ class TestOptimisticHub:
         assert hub.metrics()["episode_active"] == 1.0
 
     def test_strict_hub_never_opens_an_episode(self):
-        hub = FederationHub(["region-a", "region-b"], 1,
-                            staleness_budget_s=0.5)
+        hub = FederationHub(["region-a", "region-b"], 1)
+        assert hub.staleness_budget_s == math.inf
         hub.receive(_campaign_blob("region-a", ["v1", "v2", "v3"]))
         hub.advance(0.0)
         hub.advance(100.0)
@@ -375,7 +377,6 @@ class TestOptimisticHub:
         blob_b = _campaign_blob("region-b", ["v2", "v3", "v4"],
                                 sig="chaos.sig", t0=0.1)
         optimistic = FederationHub(["region-a", "region-b"], 1,
-                                   consistency="optimistic",
                                    staleness_budget_s=0.5)
         optimistic.receive(blob_a)
         optimistic.advance(0.0)
@@ -436,13 +437,16 @@ class TestOptimisticHub:
 # Tentpole differential: optimistic == strict across a Hypothesis-driven
 # space of outage schedules, duplication, and reorder (1 and 4 shards)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=[1, 4],
-                ids=["shards-1", "shards-4"])
-def chaos_corpus(request):
+def _corpus(num_shards, columnar=False):
     """A federated run rendered as timestamped per-region blobs plus the
-    strict-gate canonical state any delivery must converge to."""
-    scene = build_federated_scene(seed=7, n_per_region=120, lag_s=0.0,
-                                  num_shards=request.param)
+    strict-gate canonical state any delivery must converge to.
+    ``columnar`` runs the regional centers on the columnar path."""
+    with pytest.MonkeyPatch.context() as mp:
+        if columnar:
+            mp.setattr(e18_federation, "SecurityOperationsCenter",
+                       partial(SecurityOperationsCenter, columnar=True))
+        scene = build_federated_scene(seed=7, n_per_region=120, lag_s=0.0,
+                                      num_shards=num_shards)
     try:
         scene.start()
         scene.run(18.0)
@@ -464,7 +468,13 @@ def chaos_corpus(request):
     finally:
         scene.close()
     return {"names": names, "profile": profile, "shipments": shipments,
-            "expected": expected}
+            "expected": expected, "num_shards": num_shards}
+
+
+@pytest.fixture(scope="module", params=[1, 4],
+                ids=["shards-1", "shards-4"])
+def chaos_corpus(request):
+    return _corpus(request.param)
 
 
 def _drive_schedule(hub, shipments, arrivals, end):
@@ -500,8 +510,7 @@ class TestOptimisticDifferential:
                 arrivals.append(arrivals[i] + rng.uniform(0.0, 1.0))
         end = max(arrivals) + 1.0
         hub = FederationHub.from_profile(
-            names, chaos_corpus["profile"], consistency="optimistic",
-            staleness_budget_s=0.5)
+            names, chaos_corpus["profile"], staleness_budget_s=0.5)
         _drive_schedule(hub, shipments, arrivals, end)
         assert hub.unapplied() == 0
         assert not hub.episode_active
@@ -515,23 +524,24 @@ class TestOptimisticDifferential:
     def test_partition_forces_episodes_and_columnar_agrees(
             self, chaos_corpus):
         """Deterministic anchor for the property above: a long outage on
-        one region provably opens episodes, and the columnar apply path
-        reconciles to the same bytes."""
+        one region provably opens episodes, and shipments from columnar
+        regional writers reconcile to the same bytes as scalar ones."""
         names = chaos_corpus["names"]
         victim = names[-1]
-        shipments = chaos_corpus["shipments"]
-        arrivals = []
-        for region, watermark, _ in shipments:
-            arrival = watermark + 0.2
-            if region == victim and arrival >= 2.0:
-                arrival += 14.0
-            arrivals.append(arrival)
-        end = max(arrivals) + 1.0
+        columnar = _corpus(chaos_corpus["num_shards"], columnar=True)
+        assert columnar["expected"] == chaos_corpus["expected"]
         canons = []
-        for columnar in (False, True):
+        for corpus in (chaos_corpus, columnar):
+            shipments = corpus["shipments"]
+            arrivals = []
+            for region, watermark, _ in shipments:
+                arrival = watermark + 0.2
+                if region == victim and arrival >= 2.0:
+                    arrival += 14.0
+                arrivals.append(arrival)
+            end = max(arrivals) + 1.0
             hub = FederationHub.from_profile(
-                names, chaos_corpus["profile"], columnar=columnar,
-                consistency="optimistic", staleness_budget_s=0.5)
+                names, corpus["profile"], staleness_budget_s=0.5)
             _drive_schedule(hub, shipments, arrivals, end)
             assert hub.episodes >= 1
             assert hub.provisional_verdicts >= 1
@@ -557,12 +567,14 @@ class TestFederationChaosRunner:
             Fault(kind="torn_shipment", at_s=8.0, target=regions[1]),
         ])
 
-    @pytest.mark.parametrize("consistency", ["strict", "optimistic"])
-    def test_full_plan_runs_clean(self, tmp_path, consistency):
+    @pytest.mark.parametrize("budget", [
+        pytest.param(math.inf, id="strict"),
+        pytest.param(0.5, id="optimistic"),
+    ])
+    def test_full_plan_runs_clean(self, tmp_path, budget):
         scene = build_federated_scene(
             seed=1, n_per_region=250, lag_s=0.5, jitter_s=0.3,
-            root=tmp_path, consistency=consistency,
-            staleness_budget_s=1.0)
+            root=tmp_path, staleness_budget_s=budget)
         try:
             runner = FederationChaosRunner(scene, self._plan(
                 list(scene.regions)))
@@ -576,15 +588,16 @@ class TestFederationChaosRunner:
         assert len(report["probes"]) == len(runner.plan.heal_points()) + 1
         assert all(p["ok"] for p in report["probes"])
         assert report["hub_metrics"]["records_applied"] > 0
-        if consistency == "optimistic":
-            # The five-second outage with a one-second budget must have
+        if budget < math.inf:
+            # The five-second outage with a half-second budget must have
             # tripped at least one episode -- and it still converged.
             assert report["hub_metrics"]["episodes"] >= 1
+        else:
+            assert report["hub_metrics"]["episodes"] == 0
 
     def test_generated_plan_runs_clean(self, tmp_path):
         scene = build_federated_scene(seed=2, n_per_region=250, lag_s=0.5,
                                       root=tmp_path,
-                                      consistency="optimistic",
                                       staleness_budget_s=1.0)
         try:
             plan = FaultPlan.generate(

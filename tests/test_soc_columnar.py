@@ -23,17 +23,21 @@ the proof:
   ``low_severity_ignored`` and does advance the seen-ledger/watermark,
   so "no-op" is defined by the per-event semantics, not by wishing the
   counters away;
+- center: a responding :class:`SecurityOperationsCenter` in columnar
+  mode ends with the same metrics, flagged campaigns and incident
+  lifecycles (opens, spread attribution, containment history) as the
+  scalar center, at one shard and at four;
 - crash paths: with the *writer* in columnar mode, the durable log's
-  bytes are identical to the batched writer's, kill-at-arbitrary-pump
+  bytes are identical to the scalar writer's, kill-at-arbitrary-pump
   recovery (``recover_soc_state``) rebuilds the exact live state, and
   the resumed run converges byte-identically to the uninterrupted twin;
-- federation: a columnar-mode fleet (regional centers and hub replay
-  both columnar) ships/replays to the byte-identical hub state as the
-  batched-mode fleet, per-region log segments included.
+- federation: columnar regional writers ship to the byte-identical hub
+  state as scalar writers, per-region log segments included.
 """
 
 import json
 import zlib
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +59,7 @@ from repro.soc import (
     recover_soc_state,
     seeded_campaigns,
 )
+from repro.experiments import e18_federation
 from repro.experiments.e18_federation import build_federated_scene
 
 
@@ -206,7 +211,7 @@ class TestColumnarDifferential:
     @settings(max_examples=60, deadline=None)
     @given(stream_and_chunks())
     def test_columnar_hits_match_batched_attribution(self, case):
-        # ``track_hits`` must reproduce the center's batched-handler
+        # ``track_hits`` must reproduce the center's scalar-sink
         # predicate: verdict-less events whose signature is flagged
         # after the batch has been fully observed.
         events, sizes = case
@@ -214,18 +219,18 @@ class TestColumnarDifferential:
         correlate_mod.COLUMNAR_MIN_BATCH = 1
         try:
             columnar = CorrelationEngine(**ENGINE_KW)
-            batched = CorrelationEngine(**ENGINE_KW)
+            scalar = CorrelationEngine(**ENGINE_KW)
             interner = StringInterner()
             for batch in chunked(events, sizes):
-                verdicts = batched.observe_batch(batch)
+                verdicts = scalar.observe_batch(batch)
                 expected = [i for i, (e, v) in enumerate(zip(batch, verdicts))
-                            if v is None and batched.is_flagged(e.signature)]
+                            if v is None and scalar.is_flagged(e.signature)]
                 result = columnar.observe_columnar(
                     build_batch(batch, interner), track_hits=True)
                 assert result.hits == expected
         finally:
             correlate_mod.COLUMNAR_MIN_BATCH = saved
-        assert canon(columnar) == canon(batched)
+        assert canon(columnar) == canon(scalar)
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +327,46 @@ class TestDegenerateBatches:
 
 
 # ----------------------------------------------------------------------
+# Center: columnar and scalar correlate sinks, same incidents
+# ----------------------------------------------------------------------
+def _responding_scene(columnar, num_shards):
+    sim = Simulator()
+    rng = RngStreams(3)
+    campaigns = seeded_campaigns(rng, 2_000, 0.02)
+    fleet = FleetModel(2_000, campaigns)
+    soc = SecurityOperationsCenter(sim, fleet, capacity_eps=400.0, k=3,
+                                   num_shards=num_shards, columnar=columnar)
+    generator = FleetWorkloadGenerator(sim, rng, fleet, soc.pipeline)
+    soc.start()
+    generator.start()
+    sim.run_until(12.0)
+    soc.final_drain()
+    return soc
+
+
+class TestColumnarCenter:
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_columnar_center_identical_to_scalar(self, num_shards):
+        scalar = _responding_scene(False, num_shards)
+        columnar = _responding_scene(True, num_shards)
+        assert columnar.correlators[0].columnar_batches > 0
+        assert columnar.metrics() == scalar.metrics()
+        assert columnar.flagged_signatures() == scalar.flagged_signatures()
+        assert columnar.flagged_signatures()
+
+        def incident_state(soc):
+            return {
+                iid: (inc.signature, inc.opened_at, inc.severity, inc.state,
+                      sorted(inc.vehicles), inc.history)
+                for iid, inc in soc.tracker.incidents.items()
+            }
+
+        assert incident_state(columnar) == incident_state(scalar)
+        assert (json.dumps(columnar.analytics_snapshot(), sort_keys=True)
+                == json.dumps(scalar.analytics_snapshot(), sort_keys=True))
+
+
+# ----------------------------------------------------------------------
 # Crash paths: the columnar writer's log recovers byte-identically
 # ----------------------------------------------------------------------
 def _durable_scene(root, columnar, seed=11, n=600, prevalence=0.05,
@@ -351,7 +396,7 @@ class TestColumnarCrashRecovery:
     DURATION = 12.0
 
     def test_columnar_writer_log_bytes_equal_batched_writer(self, tmp_path):
-        _, soc_b, store_b = _durable_scene(tmp_path / "batched", False)
+        _, soc_b, store_b = _durable_scene(tmp_path / "scalar", False)
         soc_b.sim.run_until(self.DURATION)
         soc_b.final_drain()
         store_b.log.sync()
@@ -393,15 +438,19 @@ class TestColumnarCrashRecovery:
 
 
 # ----------------------------------------------------------------------
-# Federation: columnar writer + columnar hub replay, same hub state
+# Federation: columnar regional writers, same hub state
 # ----------------------------------------------------------------------
 class TestColumnarFederation:
     N = 250
     DURATION = 10.0
 
     def _scene_result(self, columnar, **channel_kw):
-        scene = build_federated_scene(seed=1, n_per_region=self.N,
-                                      columnar=columnar, **channel_kw)
+        with pytest.MonkeyPatch.context() as mp:
+            if columnar:
+                mp.setattr(e18_federation, "SecurityOperationsCenter",
+                           partial(SecurityOperationsCenter, columnar=True))
+            scene = build_federated_scene(seed=1, n_per_region=self.N,
+                                          **channel_kw)
         try:
             scene.start()
             scene.run(self.DURATION)
@@ -420,11 +469,11 @@ class TestColumnarFederation:
         {"lag_s": 1.0, "jitter_s": 0.3, "duplicate_p": 0.2},
     ])
     def test_columnar_fleet_matches_batched_fleet(self, channel_kw):
-        batched = self._scene_result(False, **channel_kw)
+        scalar = self._scene_result(False, **channel_kw)
         columnar = self._scene_result(True, **channel_kw)
         assert columnar["unapplied"] == 0
-        # Shipment replay applied every record to the identical state...
-        assert columnar["hub"] == batched["hub"]
+        # Shipments from columnar writers replay to the identical state...
+        assert columnar["hub"] == scalar["hub"]
         # ...because the columnar writer's durable logs -- the shipped
         # bytes -- are identical per region, segment for segment.
-        assert columnar["logs"] == batched["logs"]
+        assert columnar["logs"] == scalar["logs"]

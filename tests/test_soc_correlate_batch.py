@@ -1,6 +1,6 @@
-"""Batched correlate path, bounded ledgers, and the global campaign merger.
+"""Batch observe, bounded ledgers, and the global campaign merger.
 
-Three differential layers pin the PR's perf work to the old semantics:
+Two differential layers pin the incremental engine to the old semantics:
 
 - Hypothesis proves ``observe_batch(events)`` equivalent to
   ``[observe(e) for e in events]`` -- detections, every counter, the
@@ -9,36 +9,22 @@ Three differential layers pin the PR's perf work to the old semantics:
   repeats, under arbitrary batch chunkings;
 - the incremental :class:`CorrelationEngine` is differentially proven
   against :class:`ReferenceCorrelationEngine` (the seed implementation,
-  kept verbatim as the executable spec) inside the retention horizon;
-- batch sinks are proven to deliver the exact events, in the exact
-  order, the per-event sinks deliver -- on the plain and the sharded
-  pipeline -- and a full :class:`SecurityOperationsCenter` scenario is
-  byte-identical between ``batched=True`` and ``batched=False`` for
-  both one and four shards.
+  kept verbatim as the executable spec) inside the retention horizon.
 
 Plus regression tests for the bounded dedup/duplicate ledgers (the
 unbounded-growth fix) and unit tests for
 :class:`GlobalCampaignMerger`'s cross-shard spread accounting.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.safety import Asil
-from repro.sim import RngStreams, Simulator
 from repro.soc import (
     CorrelationEngine,
     EventSource,
-    FleetModel,
-    FleetWorkloadGenerator,
     GlobalCampaignMerger,
-    IngestPipeline,
     ReferenceCorrelationEngine,
-    SecurityOperationsCenter,
-    ShardedIngestPipeline,
     make_event,
-    region_shard_key,
-    seeded_campaigns,
 )
 
 
@@ -218,57 +204,6 @@ class TestBoundedLedgers:
 
 
 # ----------------------------------------------------------------------
-# Batch sinks: same events, same order as per-event sinks
-# ----------------------------------------------------------------------
-PIPE_KW = dict(capacity_eps=40.0, queue_capacity=32, batch_size=8,
-               min_severity=Asil.A)
-
-
-def _drive(pipeline):
-    """Deterministic offer/pump schedule; returns nothing -- callers
-    compare what the sinks saw."""
-    rng = RngStreams(7).get("drive")
-    now = 0.0
-    for seq in range(300):
-        now += rng.random() * 0.05
-        e = ev(f"v{seq % 17:03d}", f"ids.sig:{seq % 5}", now, seq,
-               severity=Asil.B if seq % 3 else Asil.C)
-        pipeline.offer(now, e)
-        if seq % 20 == 19:
-            pipeline.pump(now)
-    pipeline.pump(now + 1.0)
-
-
-class TestBatchSinkDelivery:
-    @pytest.mark.parametrize("make", [
-        lambda: IngestPipeline(**PIPE_KW),
-        lambda: ShardedIngestPipeline(num_shards=4, **PIPE_KW),
-        lambda: ShardedIngestPipeline(num_shards=4,
-                                      shard_key=region_shard_key, **PIPE_KW),
-    ])
-    def test_batch_sink_matches_event_sink(self, make):
-        per_event_pipe, batch_pipe = make(), make()
-        singles, batches = [], []
-        per_event_pipe.add_sink(lambda now, e: singles.append(e))
-        batch_pipe.add_batch_sink(lambda now, batch: batches.append(list(batch)))
-        _drive(per_event_pipe)
-        _drive(batch_pipe)
-
-        flattened = [e for batch in batches for e in batch]
-        assert flattened == singles             # same events, same order
-        assert all(batches)                     # never an empty delivery
-        assert batch_pipe.metrics() == per_event_pipe.metrics()
-
-    def test_both_sink_kinds_coexist(self):
-        pipeline = IngestPipeline(**PIPE_KW)
-        singles, batches = [], []
-        pipeline.add_sink(lambda now, e: singles.append(e))
-        pipeline.add_batch_sink(lambda now, b: batches.append(list(b)))
-        _drive(pipeline)
-        assert [e for b in batches for e in b] == singles
-
-
-# ----------------------------------------------------------------------
 # GlobalCampaignMerger: cross-shard campaign stitching
 # ----------------------------------------------------------------------
 MERGE_KW = dict(window_s=8.0, k=3, dedup_window_s=0.0, max_lateness_s=100.0)
@@ -351,39 +286,3 @@ class TestGlobalCampaignMerger:
         assert merger.campaign_vehicles("ids.sig:x") == {"v1", "v2", "v3", "v9"}
         # The delta really is a delta: reported once, not again.
         assert merger.merge([e1, e2]) == ([], {})
-
-
-# ----------------------------------------------------------------------
-# End-to-end: SOC batched vs per-event is byte-identical
-# ----------------------------------------------------------------------
-def _soc_scene(batched, num_shards):
-    sim = Simulator()
-    rng = RngStreams(3)
-    campaigns = seeded_campaigns(rng, 2_000, 0.02)
-    fleet = FleetModel(2_000, campaigns)
-    soc = SecurityOperationsCenter(sim, fleet, capacity_eps=400.0, k=3,
-                                   num_shards=num_shards, batched=batched)
-    generator = FleetWorkloadGenerator(sim, rng, fleet, soc.pipeline)
-    soc.start()
-    generator.start()
-    sim.run_until(12.0)
-    soc.final_drain()
-    return soc
-
-
-class TestCenterBatchedDifferential:
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_batched_center_identical_to_per_event(self, num_shards):
-        batched = _soc_scene(batched=True, num_shards=num_shards)
-        per_event = _soc_scene(batched=False, num_shards=num_shards)
-        assert batched.metrics() == per_event.metrics()
-        assert batched.flagged_signatures() == per_event.flagged_signatures()
-
-        def incident_state(soc):
-            return {
-                iid: (inc.signature, inc.opened_at, inc.severity, inc.state,
-                      sorted(inc.vehicles), inc.history)
-                for iid, inc in soc.tracker.incidents.items()
-            }
-
-        assert incident_state(batched) == incident_state(per_event)

@@ -198,7 +198,8 @@ def _drive(pipeline, events, pump_every=25):
     """Offer the stream, pumping periodically; returns the sink log."""
     audit = ConservationAudit()
     seen = []
-    pipeline.add_sink(lambda now, e: seen.append((now, e.event_id)))
+    pipeline.add_batch_sink(
+        lambda now, batch: seen.extend((now, e.event_id) for e in batch))
     for index, (now, event) in enumerate(events):
         pipeline.offer(now, event)
         if (index + 1) % pump_every == 0:

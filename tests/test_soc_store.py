@@ -508,6 +508,21 @@ class TestCrashRecoveryDifferential:
         assert soc.metrics() == ref_metrics
         assert soc.flagged_signatures() == ref_flagged
 
+    def test_single_shard_center_drains_dirty_set_every_pump(
+            self, tmp_path):
+        # Regression: with no merger to consume it, a single-engine
+        # center never popped its engine's dirty set, which grew with
+        # every distinct signature and rode along in every snapshot.
+        # Live pumps and recovery's pump markers now both drain it.
+        sim, soc, store = _durable_scene(tmp_path, num_shards=1)
+        sim.run_until(self.DURATION)
+        soc.final_drain()
+        assert soc.correlator.observed > 0
+        assert soc.analytics_snapshot()["engines"][0]["dirty"] == []
+        recovered = recover_soc_state(store)
+        assert recovered.replayed_pumps > 0
+        assert recovered.engines[0].snapshot()["dirty"] == []
+
     def test_recovery_from_initial_snapshot_replays_whole_log(
             self, tmp_path):
         # snapshot_every_pumps=0: only snapshot 0 exists, so recovery
