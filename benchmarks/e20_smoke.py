@@ -74,8 +74,8 @@ def main(argv=None) -> int:
     print(f"wrote {args.out} (host cpus: {payload['cpu_count']})")
     print(f"  plain: {over['plain']['eps']:,.0f} eps, authenticated: "
           f"{over['authenticated']['eps']:,.0f} eps "
-          f"(overhead {over['overhead_frac']:.0%} -- pure-Python "
-          "per-batch CMAC)")
+          f"(overhead {over['overhead_frac']:.0%} -- per-batch CMAC on "
+          "the pure-Python T-table AES core)")
     print(f"  quota: honest goodput ratio {quota['goodput_ratio']:.3f} "
           f"({quota['quota_refused']:.0f} hostile batches refused, "
           f"{quota['quota_disconnects']:.0f} disconnect)")

@@ -2,24 +2,32 @@
 
 Two variants are provided:
 
-- :class:`AES` -- the straightforward implementation.  ``encrypt_block``
-  accepts an optional ``leak`` callback that receives every first-round
-  S-box output byte; the :mod:`repro.physical.emissions` model converts
-  those intermediates into Hamming-weight power traces, which the E4
-  side-channel experiment attacks with CPA.
+- :class:`AES` -- two encrypt paths over one key schedule.  Without a
+  ``leak`` callback, ``encrypt_block`` runs a 32-bit-word T-table core
+  (:meth:`AES.encrypt_words`, which CMAC chains on directly).  With one,
+  it runs the byte-list round functions -- the executable FIPS-197 spec
+  -- and the callback receives every first-round S-box output byte; the
+  :mod:`repro.physical.emissions` model converts those intermediates into
+  Hamming-weight power traces, which the E4 side-channel experiment
+  attacks with CPA.
 - :class:`MaskedAES` -- a first-order boolean-masked implementation.  The
   S-box stage operates on masked data, so the leaked intermediates are
   uniformly randomised and first-order CPA fails (the countermeasure the
   paper's "secure processing" layer calls for).
 
-Performance note: this is pure Python, roughly 10^4 blocks/s -- plenty for
-frame-level simulation, far too slow for real traffic.  That is by design;
-see DESIGN.md section 4.
+Performance note: this is pure Python.  The T-table core runs about
+5-8 x 10^4 blocks/s on one core of a 2-CPU VM, the byte-list spec path
+about 10^4 -- plenty for frame-level simulation and a fleet backend's
+batch tags, far too slow for bulk traffic.  T-table lookups are
+cache-timing-variable on real silicon; the simulator models leakage only
+through the ``leak`` hook and :class:`MaskedAES`, so the fast path is a
+backend primitive, not an ECU model.  See DESIGN.md section 4.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from typing import Callable, List, Optional
 
 LeakFn = Callable[[int, int, int], None]
@@ -71,6 +79,25 @@ def _xtime(a: int) -> int:
     return a & 0xFF
 
 
+def _build_ttables() -> tuple[tuple[int, ...], ...]:
+    """Encrypt T-tables: ``_TE0[x]`` is the MixColumns column
+    ``(2s, s, s, 3s)`` of ``s = SBOX[x]`` packed big-endian; ``_TE1.._TE3``
+    are its byte rotations, one per source row."""
+    te0 = []
+    for s in SBOX:
+        s2 = _xtime(s)
+        te0.append((s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s))
+    tables = [tuple(te0)]
+    for _ in range(3):
+        tables.append(tuple(((w >> 8) | (w << 24)) & 0xFFFFFFFF
+                            for w in tables[-1]))
+    return tuple(tables)
+
+
+_TE0, _TE1, _TE2, _TE3 = _build_ttables()
+_BLOCK = struct.Struct(">4I")
+
+
 def _gmul(a: int, b: int) -> int:
     """GF(2^8) multiplication."""
     result = 0
@@ -100,6 +127,9 @@ class AES:
         self.key = bytes(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
+        # The same schedule as big-endian column words, for the T-table core.
+        self._word_keys = tuple(_BLOCK.unpack(bytes(rk))
+                                for rk in self._round_keys)
 
     # ------------------------------------------------------------------
     # Key schedule
@@ -181,9 +211,15 @@ class AES:
     # Block operations
     # ------------------------------------------------------------------
     def encrypt_block(self, block: bytes, leak: Optional[LeakFn] = None) -> bytes:
-        """Encrypt one 16-byte block; optionally leak round-1 S-box bytes."""
+        """Encrypt one 16-byte block; optionally leak round-1 S-box bytes.
+
+        Without ``leak`` this runs the T-table core; with it, the byte-list
+        round functions (the spec the core is tested against).
+        """
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
+        if leak is None:
+            return _BLOCK.pack(*self.encrypt_words(*_BLOCK.unpack(block)))
         state = [block[i] ^ self._round_keys[0][i] for i in range(16)]
         for rnd in range(1, self.rounds):
             state = self._sub_bytes(state, rnd, leak)
@@ -194,6 +230,46 @@ class AES:
         state = self._shift_rows(state)
         state = [state[i] ^ self._round_keys[self.rounds][i] for i in range(16)]
         return bytes(state)
+
+    def encrypt_words(self, s0: int, s1: int, s2: int,
+                      s3: int) -> tuple[int, int, int, int]:
+        """Encrypt one block held as four big-endian 32-bit column words.
+
+        Each full round is four T-table lookups per output column (SubBytes,
+        ShiftRows and MixColumns in one step); the last round has no
+        MixColumns, so it substitutes through ``SBOX`` directly.
+        """
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        keys = self._word_keys
+        k0, k1, k2, k3 = keys[0]
+        s0 ^= k0
+        s1 ^= k1
+        s2 ^= k2
+        s3 ^= k3
+        for rnd in range(1, self.rounds):
+            k0, k1, k2, k3 = keys[rnd]
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255]
+                ^ te3[s3 & 255] ^ k0,
+                te0[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255]
+                ^ te3[s0 & 255] ^ k1,
+                te0[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255]
+                ^ te3[s1 & 255] ^ k2,
+                te0[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255]
+                ^ te3[s2 & 255] ^ k3,
+            )
+        sb = SBOX
+        k0, k1, k2, k3 = keys[self.rounds]
+        return (
+            (sb[s0 >> 24] << 24 | sb[s1 >> 16 & 255] << 16
+             | sb[s2 >> 8 & 255] << 8 | sb[s3 & 255]) ^ k0,
+            (sb[s1 >> 24] << 24 | sb[s2 >> 16 & 255] << 16
+             | sb[s3 >> 8 & 255] << 8 | sb[s0 & 255]) ^ k1,
+            (sb[s2 >> 24] << 24 | sb[s3 >> 16 & 255] << 16
+             | sb[s0 >> 8 & 255] << 8 | sb[s1 & 255]) ^ k2,
+            (sb[s3 >> 24] << 24 | sb[s0 >> 16 & 255] << 16
+             | sb[s1 >> 8 & 255] << 8 | sb[s2 & 255]) ^ k3,
+        )
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""

@@ -121,6 +121,21 @@ class TestMaskedAes:
         assert MaskedAES(key, rng=random.Random(0)).encrypt_block(pt) == AES(key).encrypt_block(pt)
 
 
+class TestWordCore:
+    """The T-table core (leak-free ``encrypt_block``) against the byte-list
+    spec path (any ``leak`` callback) and the masked implementation."""
+
+    @given(st.sampled_from([16, 24, 32]).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           st.binary(min_size=16, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_property_core_equals_spec_and_masked(self, key, pt):
+        aes = AES(key)
+        core = aes.encrypt_block(pt)
+        assert core == aes.encrypt_block(pt, leak=lambda *a: None)
+        assert core == MaskedAES(key, rng=random.Random(0)).encrypt_block(pt)
+
+
 class TestSha256:
     def test_empty(self):
         assert sha256(b"").hex() == (
@@ -213,6 +228,78 @@ class TestCmac:
         if m1 == m2:
             return
         assert aes_cmac(self.KEY, m1) != aes_cmac(self.KEY, m2)
+
+
+def _spec_cmac(key, message):
+    """SP 800-38B CMAC written over bytes on the byte-list spec path."""
+    aes = AES(key)
+    spec = lambda block: aes.encrypt_block(block, leak=lambda *a: None)  # noqa: E731
+
+    def dbl(block):
+        value = int.from_bytes(block, "big") << 1
+        if value >> 128:
+            value ^= (1 << 128) | 0x87
+        return value.to_bytes(16, "big")
+
+    k1 = dbl(spec(bytes(16)))
+    k2 = dbl(k1)
+    n_blocks = max(1, (len(message) + 15) // 16)
+    if message and len(message) % 16 == 0:
+        last = xor_bytes(message[-16:], k1)
+    else:
+        tail = message[16 * (n_blocks - 1):]
+        last = xor_bytes(tail + b"\x80" + bytes(15 - len(tail)), k2)
+    x = bytes(16)
+    for i in range(n_blocks - 1):
+        x = spec(xor_bytes(x, message[16 * i:16 * i + 16]))
+    return spec(xor_bytes(x, last))
+
+
+_SP800_38B_MSG = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710"
+)
+_KEY192 = bytes.fromhex("8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b")
+_KEY256 = bytes.fromhex(
+    "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
+_MSG_4096 = bytes(range(256)) * 16
+_MSG_5000 = bytes(i % 251 for i in range(5000))
+
+
+class TestCmacWideKeys:
+    """AES-192/256 CMAC.  The 0/16/40/64-byte rows are the SP 800-38B
+    examples; the multi-KB rows were generated once with an independent
+    AES-CMAC implementation.  Each row is also recomputed on the spec path."""
+
+    @pytest.mark.parametrize("key,message,tag_hex", [
+        (_KEY192, b"", "d17ddf46adaacde531cac483de7a9367"),
+        (_KEY192, _SP800_38B_MSG[:16], "9e99a7bf31e710900662f65e617c5184"),
+        (_KEY192, _SP800_38B_MSG[:40], "8a1de5be2eb31aad089a82e6ee908b0e"),
+        (_KEY192, _SP800_38B_MSG, "a1d5df0eed790f794d77589659f39a11"),
+        (_KEY192, _MSG_4096, "e3594694b1519aefc3bcd30eadfc961e"),
+        (_KEY192, _MSG_5000, "68ac0f57ed7f481eb779b04787a973ae"),
+        (_KEY256, b"", "028962f61b7bf89efc6b551f4667d983"),
+        (_KEY256, _SP800_38B_MSG[:16], "28a7023f452e8f82bd4bf28d8c37c35c"),
+        (_KEY256, _SP800_38B_MSG[:40], "aaf3d8f1de5640c232f5b169b9c911e6"),
+        (_KEY256, _SP800_38B_MSG, "e1992190549f6ed5696a2c056c315410"),
+        (_KEY256, _MSG_4096, "06b64008870bb73544884b35508d65fe"),
+        (_KEY256, _MSG_5000, "23e0800094851e8b59a445b5a49dbae9"),
+    ], ids=[f"aes{k}-{m}" for k in (192, 256)
+            for m in ("empty", "one-block", "partial", "four-blocks",
+                      "4096", "5000")])
+    def test_vector(self, key, message, tag_hex):
+        assert aes_cmac(key, message).hex() == tag_hex
+        assert _spec_cmac(key, message).hex() == tag_hex
+        assert cmac_verify(key, message, bytes.fromhex(tag_hex)[:8])
+
+    @given(st.sampled_from([16, 24, 32]).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           st.binary(max_size=100), st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_spec_path(self, key, message, tag_len):
+        assert aes_cmac(key, message, tag_len) == _spec_cmac(key, message)[:tag_len]
 
 
 class TestModes:

@@ -16,6 +16,7 @@ import inspect
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.safety import Asil
 from repro.soc import (
@@ -37,6 +38,7 @@ from repro.soc.service import (
     auth_tag,
     batch_id_of,
     batch_tag,
+    decode_message,
     derive_session_key,
     encode_auth,
     encode_batch,
@@ -357,6 +359,53 @@ class TestSessionCrypto:
                                (1, 2, 0, -2), (2, 3, 0, -2))
         assert core.cmac_rejected == 3
         assert core.metrics()["service_cmac_rejected"] == 3.0
+        core.close()
+
+    def test_tampered_multiblock_batch_fails_closed(self, tmp_path):
+        """Property: on a sealed batch spanning many CMAC blocks, any
+        single-bit flip in body or tag, any truncated trailer, and the
+        valid tag rebound to another batch id or client id is refused
+        whole (-2) and counted; the honest bytes still decode to the
+        events they were sealed from."""
+        bid = 5
+        events = [ev("veh-1", f"sig.{i % 4}", 905.0 + 0.01 * i, 500 + i)
+                  for i in range(8)]
+        payload = encode_batch(bid, events)
+        assert len(payload) > 8 * 16
+        key = derive_session_key(FLEET_KEY, "veh-1")
+        sealed = seal_payload(key, "veh-1", payload)
+        core = WorkerCore(0, tmp_path, ServiceConfig(fleet_key=FLEET_KEY))
+        tampers = st.one_of(
+            st.integers(0, 8 * len(sealed) - 1).map(
+                lambda bit: ("veh-1", bid, bytes(
+                    b ^ (1 << bit % 8) if i == bit // 8 else b
+                    for i, b in enumerate(sealed)))),
+            st.integers(1, 16).map(
+                lambda cut: ("veh-1", bid, sealed[:-cut])),
+            st.integers(0, 2**31).filter(lambda b: b != bid).map(
+                lambda other: ("veh-1", other, sealed)),
+            st.sampled_from(["veh-2", "veh-10", "veh-1 ", "VEH-1"]).map(
+                lambda other: (other, bid, sealed)),
+        )
+
+        @given(tampers)
+        @settings(max_examples=120, deadline=None)
+        def refused(item):
+            client_id, batch_id, body = item
+            before = core.cmac_rejected
+            report = core.ingest_handoff(
+                1000.0, [(1, client_id, batch_id, body)])
+            assert report.acks == ((1, batch_id, 0, -2),)
+            assert core.cmac_rejected == before + 1
+
+        refused()
+        rejected = core.cmac_rejected
+        report = core.ingest_handoff(1001.0, [(1, "veh-1", bid, sealed)])
+        assert report.acks == ((1, bid, 8, 8),)
+        assert core.cmac_rejected == rejected
+        assert core.metrics()["service_cmac_rejected"] == float(rejected)
+        assert decode_message(core._open_sealed("veh-1", bid, sealed)) == (
+            "e", bid, events)
         core.close()
 
     def test_plain_mode_accepts_unsealed_batches(self, tmp_path):
