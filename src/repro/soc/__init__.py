@@ -41,6 +41,9 @@ out.  This package is that backend:
   plus atomic, CRC-guarded snapshots of the analytic state; recovery is
   snapshot + log-suffix replay (:func:`~repro.soc.center.recover_soc_state`),
   differential-tested byte-identical to an uninterrupted run.
+- :mod:`repro.soc.analytics` -- :class:`~repro.soc.analytics.AnalyticState`,
+  the one state machine (engines, optional merger, incident tracker)
+  the live center, crash recovery and the federation hub all drive.
 - :mod:`repro.soc.center` -- the facade wiring it all together.
 - :mod:`repro.soc.federation` -- multi-region federation: per-region
   SOCs ship their durable log-segment streams (CRC-framed shipments
@@ -152,6 +155,7 @@ from repro.soc.store import (
     decode_event,
     encode_event,
 )
+from repro.soc.analytics import AnalyticState
 from repro.soc.center import (
     RecoveredAnalytics,
     SecurityOperationsCenter,
@@ -244,6 +248,7 @@ __all__ = [
     "SnapshotStore",
     "decode_event",
     "encode_event",
+    "AnalyticState",
     "RecoveredAnalytics",
     "SecurityOperationsCenter",
     "recover_soc_state",

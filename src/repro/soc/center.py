@@ -5,16 +5,14 @@ Wires the four subsystem stages into one
 and aggregates every stage's counters into a single flat ``metrics()``
 dict (the shape E17 publishes and the determinism tests pin).
 
-Correlation topology scales with the ingest topology:
-
-- ``num_shards == 1``: one :class:`~repro.soc.correlate.CorrelationEngine`
-  fed straight off the pipeline, one batch-sink call per drained batch;
-- ``num_shards > 1``: one **shard-local** engine per ingest shard plus a
-  :class:`~repro.soc.correlate.GlobalCampaignMerger` that stitches the
-  local verdicts (and, under region sharding, sub-threshold cross-shard
-  windows) into fleet-wide campaigns after every pump.  Merged campaigns
-  are adopted back into every engine so spread attribution stays exact
-  and one event is never correlated twice.
+Correlation topology scales with the ingest topology: one
+:class:`~repro.soc.correlate.CorrelationEngine` per ingest shard, plus a
+:class:`~repro.soc.correlate.GlobalCampaignMerger` that stitches the
+local verdicts into fleet-wide campaigns after every pump iff
+``num_shards > 1``.  Both live in one
+:class:`~repro.soc.analytics.AnalyticState`, the same state machine
+crash recovery (:func:`recover_soc_state`) and the federation hub
+replay the durable log through.
 
 Every stage consumes the pipeline the same way: a batch sink taking the
 drained ``List[SecurityEvent]``.  The archival tap is registered first
@@ -23,22 +21,13 @@ drained ``List[SecurityEvent]``.  The archival tap is registered first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.core.safety import Asil
 from repro.sim import Simulator
-from repro.soc.columnar import ColumnarBatch, StringInterner, build_batch
-from repro.soc.correlate import (
-    CampaignDetection,
-    CorrelationEngine,
-    GlobalCampaignMerger,
-)
-from repro.soc.events import (
-    DEFAULT_SOURCE_SEVERITY,
-    SecurityEvent,
-    source_for_signature,
-)
+from repro.soc.analytics import AnalyticState
+from repro.soc.columnar import StringInterner, build_batch
+from repro.soc.correlate import CampaignDetection
+from repro.soc.events import SecurityEvent
 from repro.soc.fleet import FleetModel
 from repro.soc.incident import AMENDMENT_KINDS, Amendment, IncidentTracker
 from repro.soc.ingest import IngestPipeline, ShedPolicy
@@ -62,9 +51,6 @@ class SecurityOperationsCenter:
     pin it), and the archived log bytes do not depend on it.  Only the
     fleet-scale E17 cells set it: on the service workloads columnar
     costs more CPU and memory per event than the scalar path.
-    ``shard_local_correlate`` (default: on whenever ``num_shards > 1``)
-    gives every ingest shard its own correlator, stitched by a
-    :class:`GlobalCampaignMerger` each pump.
     """
 
     def __init__(
@@ -86,7 +72,6 @@ class SecurityOperationsCenter:
         shard_key: Optional[ShardKeyFn] = None,
         audit: bool = True,
         columnar: bool = False,
-        shard_local_correlate: Optional[bool] = None,
         store: Optional[DurableStore] = None,
         snapshot_every_pumps: int = 0,
     ) -> None:
@@ -127,49 +112,28 @@ class SecurityOperationsCenter:
             ConservationAudit() if audit else None
         )
 
-        # Archival taps go in *before* the correlator sinks (write-ahead:
-        # by the time analytics sees a batch it is already in the log).
-        if store is not None:
-            if isinstance(self.pipeline, ShardedIngestPipeline):
-                for index, shard in enumerate(self.pipeline.shards):
-                    shard.add_batch_sink(self._archive_handler(index))
-            else:
-                self.pipeline.add_batch_sink(self._archive_handler(0))
         # Interner ids are batch-local grouping labels, so one interner
         # serves every engine of this center.
         self._interner: Optional[StringInterner] = (
             StringInterner() if columnar else None)
+        self.analytics = AnalyticState.fresh(
+            num_shards, merged=num_shards > 1, window_s=window_s, k=k,
+            dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s)
+        queues = self.pipeline.shards if num_shards > 1 else [self.pipeline]
+        for index, queue in enumerate(queues):
+            # The archival tap goes in *before* the correlator sink
+            # (write-ahead: by the time analytics sees a batch it is
+            # already in the log).
+            if store is not None:
+                queue.add_batch_sink(self._archive_handler(index))
+            queue.add_batch_sink(self._correlate_handler(index))
 
-        def _engine() -> CorrelationEngine:
-            return CorrelationEngine(
-                window_s=window_s, k=k,
-                dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s,
-            )
-
-        if shard_local_correlate is None:
-            shard_local_correlate = num_shards > 1
-        if shard_local_correlate and num_shards > 1:
-            self.correlators: List[CorrelationEngine] = [
-                _engine() for _ in range(num_shards)
-            ]
-            self.correlator: Optional[CorrelationEngine] = None
-            self.merger: Optional[GlobalCampaignMerger] = (
-                GlobalCampaignMerger(window_s=window_s, k=k)
-            )
-            for index, shard in enumerate(self.pipeline.shards):
-                shard.add_batch_sink(self._shard_batch_handler(index))
-        else:
-            self.correlator = _engine()
-            self.correlators = [self.correlator]
-            self.merger = None
-            self.pipeline.add_batch_sink(self._on_batch)
-
-        self.tracker = IncidentTracker()
         self.responder: Optional[ResponseOrchestrator] = (
-            ResponseOrchestrator(sim, self.tracker, fleet,
-                                 ota_sample=ota_sample)
+            ResponseOrchestrator(sim, fleet, ota_sample=ota_sample)
             if respond else None
         )
+        if self.responder is not None:
+            self.analytics.on_open = self.responder.on_detection
         self._started = False
 
     # ------------------------------------------------------------------
@@ -194,7 +158,7 @@ class SecurityOperationsCenter:
         the wall-clock handoff time instead."""
         if self.audit is not None:
             self.audit.check(self.pipeline)
-        self._merge_campaigns()
+        self.analytics.end_pump()
         if self.store is not None:
             self._pump_no += 1
             self.store.log.append_mark(
@@ -263,66 +227,8 @@ class SecurityOperationsCenter:
             self._finish_pump()
 
     # ------------------------------------------------------------------
-    # Correlation sinks
+    # Batch sinks
     # ------------------------------------------------------------------
-    def _on_batch(self, now: float, events: List[SecurityEvent]) -> None:
-        """Single-engine sink: correlate the batch, open an incident per
-        detection and attach every verdict-less event whose signature is
-        flagged, in batch order."""
-        if self._interner is not None:
-            self._on_columnar(build_batch(events, self._interner))
-            return
-        correlator = self.correlator
-        tracker = self.tracker
-        for event, detection in zip(events, correlator.observe_batch(events)):
-            if detection is not None:
-                self._open_incident(
-                    detection,
-                    DEFAULT_SOURCE_SEVERITY.get(event.source, Asil.A))
-            elif correlator.is_flagged(event.signature):
-                tracker.attach_vehicle(event.signature, event.vehicle_id)
-
-    def _on_columnar(self, batch: ColumnarBatch) -> None:
-        """Columnar form of :meth:`_on_batch`.  Detections and
-        flagged-signature hits come back as batch indices; replaying
-        them merged in index order reproduces the scalar open/attach
-        interleaving, so the incident tracker's state is byte-identical
-        across modes.
-        """
-        result = self.correlator.observe_columnar(batch, track_hits=True)
-        if not result.detections and not result.hits:
-            return
-        events = batch.events
-        tracker = self.tracker
-        detections = result.detections
-        di = 0
-        for idx in result.hits:
-            while di < len(detections) and detections[di][0] < idx:
-                j, detection = detections[di]
-                di += 1
-                self._open_incident(
-                    detection,
-                    DEFAULT_SOURCE_SEVERITY.get(events[j].source, Asil.A))
-            event = events[idx]
-            tracker.attach_vehicle(event.signature, event.vehicle_id)
-        for j, detection in detections[di:]:
-            self._open_incident(
-                detection,
-                DEFAULT_SOURCE_SEVERITY.get(events[j].source, Asil.A))
-
-    def _shard_batch_handler(self, index: int):
-        """Shard-local observe; verdicts surface at merge time (spread
-        attribution happens in the merger).  Binds the shard *index*,
-        not the engine object, so adopting recovered engines
-        (:meth:`adopt_analytics`) rewires the sinks."""
-        def handle(now: float, events: List[SecurityEvent]) -> None:
-            engine = self.correlators[index]
-            if self._interner is not None:
-                engine.observe_columnar(build_batch(events, self._interner))
-            else:
-                engine.observe_batch(events)
-        return handle
-
     def _archive_handler(self, index: int):
         """Batch-sink tap appending each dispatched batch to the log."""
         log = self.store.log
@@ -331,38 +237,19 @@ class SecurityOperationsCenter:
             log.append_batch(now, index, events)
         return archive
 
-    def _merge_campaigns(self) -> None:
-        if self.merger is None:
-            # No merger consumes the dirty set; drain it every pump or it
-            # grows with every distinct signature (recovery mirrors this).
-            self.correlator.pop_dirty()
-            return
-        new_detections, new_vehicles = self.merger.merge(self.correlators)
-        for detection in new_detections:
-            # Adopt fleet-wide verdicts locally so every engine tracks
-            # spread exactly from here on (and never re-fires).
-            for engine in self.correlators:
-                engine.adopt_campaign(detection)
-            self._open_incident(detection, self._base_severity(detection))
-        for signature in sorted(new_vehicles):
-            for vehicle in sorted(new_vehicles[signature]):
-                self.tracker.attach_vehicle(signature, vehicle)
-
-    def _open_incident(self, detection: CampaignDetection,
-                       base: Asil) -> None:
-        incident = self.tracker.open_from_detection(detection, base)
-        if self.responder is not None:
-            self.responder.on_detection(incident)
-
-    @staticmethod
-    def _base_severity(detection: CampaignDetection) -> Asil:
-        """Merged detections carry no triggering event; recover the
-        source family from the signature namespace (same defaulting as
-        the per-event path)."""
-        source = source_for_signature(detection.signature)
-        if source is None:
-            return Asil.A
-        return DEFAULT_SOURCE_SEVERITY.get(source, Asil.A)
+    def _correlate_handler(self, index: int):
+        """Batch sink feeding shard ``index``'s batches to the analytic
+        state.  It resolves ``self.analytics`` at call time, so adopting
+        recovered state (:meth:`adopt_analytics`) rewires every sink."""
+        interner = self._interner
+        if interner is None:
+            def correlate(now: float, events: List[SecurityEvent]) -> None:
+                self.analytics.apply_batch(index, events)
+        else:
+            def correlate(now: float, events: List[SecurityEvent]) -> None:
+                self.analytics.apply_columnar(index,
+                                              build_batch(events, interner))
+        return correlate
 
     # ------------------------------------------------------------------
     # Durable snapshots / recovery
@@ -377,10 +264,7 @@ class SecurityOperationsCenter:
         return {
             "pump_no": self._pump_no,
             "log_seq": self.store.log.last_seq if self.store else 0,
-            "sharded": self.merger is not None,
-            "engines": [e.snapshot() for e in self.correlators],
-            "merger": self.merger.snapshot() if self.merger else None,
-            "tracker": self.tracker.snapshot(),
+            **self.analytics.snapshot(),
         }
 
     def save_snapshot(self):
@@ -392,18 +276,13 @@ class SecurityOperationsCenter:
     def adopt_analytics(self, recovered: "RecoveredAnalytics") -> None:
         """Swap recovered analytic state into this (running) center.
 
-        The correlator sinks resolve engines through ``self.correlators``
-        at call time, so adoption rewires them without touching the
-        pipeline; the ingest tier (queues, counters) is not part of the
-        recovery contract and keeps running as-is.
+        The correlator sinks resolve ``self.analytics`` at call time, so
+        the swap rewires them without touching the pipeline; the ingest
+        tier (queues, counters) is not part of the recovery contract and
+        keeps running as-is.
         """
-        self.correlators = list(recovered.engines)
-        self.correlator = (
-            None if recovered.merger is not None else self.correlators[0])
-        self.merger = recovered.merger
-        self.tracker = recovered.tracker
-        if self.responder is not None:
-            self.responder.tracker = recovered.tracker
+        recovered.on_open = self.analytics.on_open
+        self.analytics = recovered
         self._pump_no = recovered.pump_no
 
     # ------------------------------------------------------------------
@@ -414,7 +293,7 @@ class SecurityOperationsCenter:
         to build byte-compatible replica engines for this region: the
         shard fan-out plus every correlation-hygiene parameter."""
         return {
-            "num_shards": len(self.correlators),
+            "num_shards": len(self.analytics.engines),
             "window_s": self.window_s,
             "k": self.k,
             "dedup_window_s": self.dedup_window_s,
@@ -425,9 +304,7 @@ class SecurityOperationsCenter:
         """This region's campaign verdicts in fire order -- the payload
         of the lightweight verdict-level federation path
         (:meth:`~repro.soc.federation.FederationHub.adopt_verdicts`)."""
-        if self.merger is not None:
-            return list(self.merger.detections)
-        return list(self.correlator.detections)
+        return self.analytics.export_verdicts()
 
     def adopt_amendments(self, amendments) -> Dict[str, int]:
         """Consume a hub's reconciliation feed
@@ -449,10 +326,13 @@ class SecurityOperationsCenter:
         return counts
 
     # ------------------------------------------------------------------
+    @property
+    def tracker(self) -> IncidentTracker:
+        """The live incident tracker (swapped by :meth:`adopt_analytics`)."""
+        return self.analytics.tracker
+
     def flagged_signatures(self) -> Set[str]:
-        if self.merger is not None:
-            return set(self.merger.flagged_signatures)
-        return set(self.correlator.flagged_signatures)
+        return self.analytics.flagged_signatures()
 
     def precision_recall(self) -> Dict[str, float]:
         """Score flagged signatures against the fleet's ground truth."""
@@ -465,23 +345,10 @@ class SecurityOperationsCenter:
                 "true_positives": float(tp),
                 "false_positives": float(len(flagged) - tp)}
 
-    def _correlator_metrics(self) -> Dict[str, float]:
-        if self.merger is None:
-            return self.correlator.metrics()
-        merged: Dict[str, float] = {}
-        for engine in self.correlators:
-            for key, value in engine.metrics().items():
-                merged[key] = merged.get(key, 0.0) + value
-        # Campaign count is a fleet-level fact: adopted local flags would
-        # count one campaign once per shard.
-        merged["campaigns_flagged"] = float(
-            len(self.merger.flagged_signatures))
-        return merged
-
     def metrics(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         out.update(self.pipeline.metrics())
-        out.update(self._correlator_metrics())
+        out.update(self.analytics.correlator_metrics())
         out.update(self.precision_recall())
         out["incidents_open"] = float(len(self.tracker.incidents))
         out["mean_time_to_containment_s"] = self.tracker.mean_time_to_containment_s()
@@ -498,39 +365,25 @@ class SecurityOperationsCenter:
 # Crash recovery: snapshot + log-suffix replay
 # ----------------------------------------------------------------------
 
-@dataclass
-class RecoveredAnalytics:
-    """Analytic state rebuilt from a :class:`~repro.soc.store.DurableStore`.
+class RecoveredAnalytics(AnalyticState):
+    """Analytic state rebuilt from a :class:`~repro.soc.store.DurableStore`,
+    plus where the replay stopped and what it replayed.
 
     Hand it to :meth:`SecurityOperationsCenter.adopt_analytics` to resume
     a live center, or inspect it directly for post-mortem forensics.
     """
 
-    engines: List[CorrelationEngine]
-    merger: Optional[GlobalCampaignMerger]
-    tracker: IncidentTracker
-    pump_no: int
-    log_seq: int
-    replayed_batches: int = 0
-    replayed_events: int = 0
-    replayed_pumps: int = 0
-
-    def flagged_signatures(self) -> Set[str]:
-        if self.merger is not None:
-            return set(self.merger.flagged_signatures)
-        return set(self.engines[0].flagged_signatures)
+    pump_no = 0
+    log_seq = 0
+    replayed_batches = 0
+    replayed_events = 0
+    replayed_pumps = 0
 
     def analytics_snapshot(self) -> Dict[str, object]:
         """Same canonical shape as
         :meth:`SecurityOperationsCenter.analytics_snapshot`."""
-        return {
-            "pump_no": self.pump_no,
-            "log_seq": self.log_seq,
-            "sharded": self.merger is not None,
-            "engines": [e.snapshot() for e in self.engines],
-            "merger": self.merger.snapshot() if self.merger else None,
-            "tracker": self.tracker.snapshot(),
-        }
+        return {"pump_no": self.pump_no, "log_seq": self.log_seq,
+                **self.snapshot()}
 
 
 def recover_soc_state(store: DurableStore,
@@ -539,13 +392,14 @@ def recover_soc_state(store: DurableStore,
     """Rebuild the analytic state a dead SOC process would have had.
 
     Loads the latest valid snapshot, then replays every log record after
-    the snapshot's ``log_seq``: batch records feed ``observe_batch`` on
-    the owning shard's engine (with the exact batch boundaries and
-    incident attribution of the live dispatch path), and each pump marker
-    re-runs the campaign merge, reproducing the live pump/merge cadence.
-    The result is byte-identical (under :meth:`RecoveredAnalytics.\
-analytics_snapshot`) to the uninterrupted run at the same pump boundary
-    -- the tentpole differential in ``tests/test_soc_store.py``.
+    the snapshot's ``log_seq`` through :class:`AnalyticState`: batch
+    records go to :meth:`~AnalyticState.apply_batch` with the owning
+    shard and the exact batch boundaries of the live dispatch path, and
+    each pump marker runs :meth:`~AnalyticState.end_pump`, reproducing
+    the live pump/merge cadence.  The result is byte-identical (under
+    :meth:`RecoveredAnalytics.analytics_snapshot`) to the uninterrupted
+    run at the same pump boundary -- the tentpole differential in
+    ``tests/test_soc_store.py``.
 
     With ``mark_boundary_only`` batch records are applied only once the
     pump marker that seals them arrives; a trailing run of batch records
@@ -564,33 +418,14 @@ analytics_snapshot`) to the uninterrupted run at the same pump boundary
             "no recoverable snapshot: the center writes snapshot 0 at "
             "start(), so an empty snapshot store means this DurableStore "
             "never backed a running SOC")
-    engines = [CorrelationEngine.from_snapshot(s) for s in snap["engines"]]
-    merger = (GlobalCampaignMerger.from_snapshot(snap["merger"])
-              if snap["merger"] is not None else None)
-    tracker = IncidentTracker.from_snapshot(snap["tracker"])
-    pump_no = snap["pump_no"]
-    last_seq = snap["log_seq"]
-    batches = events_replayed = pumps = 0
+    state = RecoveredAnalytics.from_snapshot(snap)
+    state.pump_no = snap["pump_no"]
+    state.log_seq = snap["log_seq"]
 
-    def _apply_batch(record) -> None:
-        nonlocal batches, events_replayed
-        batches += 1
-        events_replayed += len(record.events)
-        batch = list(record.events)
-        if merger is None:
-            engine = engines[0]
-            for event, detection in zip(batch,
-                                        engine.observe_batch(batch)):
-                if detection is not None:
-                    tracker.open_from_detection(
-                        detection,
-                        DEFAULT_SOURCE_SEVERITY.get(event.source,
-                                                    Asil.A))
-                elif engine.is_flagged(event.signature):
-                    tracker.attach_vehicle(event.signature,
-                                           event.vehicle_id)
-        else:
-            engines[record.shard].observe_batch(batch)
+    def apply(record) -> None:
+        state.replayed_batches += 1
+        state.replayed_events += len(record.events)
+        state.apply_batch(record.shard, list(record.events))
 
     pending: List = []  # batch records awaiting their sealing marker
     for record in store.log.replay(after_seq=snap["log_seq"]):
@@ -598,33 +433,16 @@ analytics_snapshot`) to the uninterrupted run at the same pump boundary
             if mark_boundary_only:
                 pending.append(record)
                 continue
-            last_seq = record.seq
-            _apply_batch(record)
-        else:  # pump marker: the live run merged campaigns here
+            state.log_seq = record.seq
+            apply(record)
+        else:  # pump marker: the live run closed a pump here
             for sealed in pending:
-                _apply_batch(sealed)
+                apply(sealed)
             pending.clear()
-            last_seq = record.seq
-            pumps += 1
-            pump_no = record.pump_no
-            if merger is None:
-                engines[0].pop_dirty()
-            else:
-                new_detections, new_vehicles = merger.merge(engines)
-                for detection in new_detections:
-                    for engine in engines:
-                        engine.adopt_campaign(detection)
-                    tracker.open_from_detection(
-                        detection,
-                        SecurityOperationsCenter._base_severity(detection))
-                for signature in sorted(new_vehicles):
-                    for vehicle in sorted(new_vehicles[signature]):
-                        tracker.attach_vehicle(signature, vehicle)
+            state.log_seq = record.seq
+            state.replayed_pumps += 1
+            state.pump_no = record.pump_no
+            state.end_pump()
     # mark_boundary_only: anything still pending is a torn handoff past
     # the last marker -- deliberately not applied (see docstring).
-
-    return RecoveredAnalytics(
-        engines=engines, merger=merger, tracker=tracker,
-        pump_no=pump_no, log_seq=last_seq,
-        replayed_batches=batches, replayed_events=events_replayed,
-        replayed_pumps=pumps)
+    return state

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.soc.center import SecurityOperationsCenter
+from repro.soc.analytics import AnalyticState, base_severity
 from repro.soc.correlate import (
     CampaignDetection,
     CorrelationEngine,
@@ -138,19 +138,23 @@ def decode_shipment(data: bytes) -> Shipment:
         offset = start + length
     if not payloads:
         raise CorruptRecord("shipment: empty blob")
-    head = json.loads(payloads[0].decode("utf-8"))
-    if head[0] != "h":
-        raise CorruptRecord(f"shipment: bad header tag {head[0]!r}")
-    _, region, first_seq, last_seq, watermark = head
-    first_seq, last_seq = int(first_seq), int(last_seq)
-    if len(payloads) - 1 != last_seq - first_seq + 1:
+    try:
+        tag, region, first_seq, last_seq, watermark = json.loads(
+            payloads[0].decode("utf-8"))
+        first_seq, last_seq = int(first_seq), int(last_seq)
+        watermark = float(watermark)
+    except Exception as exc:
+        raise CorruptRecord(f"shipment: undecodable header: {exc}") from exc
+    if tag != "h" or not isinstance(region, str):
+        raise CorruptRecord(f"shipment: bad header {tag!r}/{region!r}")
+    if not 1 < len(payloads) == last_seq - first_seq + 2:
         raise CorruptRecord("shipment: record count does not match header")
     records = tuple(_record_from_payload(first_seq + i, p)
                     for i, p in enumerate(payloads[1:]))
-    if records[-1].dispatch_t != float(watermark):
+    if records[-1].dispatch_t != watermark:
         raise CorruptRecord("shipment: watermark does not match last record")
     return Shipment(region=region, first_seq=first_seq, last_seq=last_seq,
-                    watermark=float(watermark), records=records)
+                    watermark=watermark, records=records)
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +342,11 @@ class SegmentReceiver:
         except CorruptRecord:
             self.corrupt_rejected += 1
             return False
+        return self.accept(shipment)
+
+    def accept(self, shipment: Shipment) -> bool:
+        """Ingest one decoded shipment (one for another region is
+        counted corrupt and rejected)."""
         if shipment.region != self.region:
             self.corrupt_rejected += 1
             return False
@@ -353,79 +362,6 @@ class SegmentReceiver:
     def next_ready(self) -> Optional[LogRecord]:
         """The next contiguous record, if it has arrived."""
         return self.buffer.get(self.applied_seq + 1)
-
-
-class _AnalyticState:
-    """The hub's replayable analytic core: replica engines per
-    (region, shard), the global merger, and the incident tracker.
-
-    Bundling these three makes the optimistic mode's central move --
-    *snapshot, replay into a shadow, swap* -- a first-class operation
-    instead of parallel bookkeeping across hub fields.  The engine list
-    is flattened in fixed (region, shard) order: merger cursors index by
-    engine position, so that order is part of the state contract.
-    """
-
-    def __init__(self, regions: Sequence[str],
-                 engines: Dict[str, List[CorrelationEngine]],
-                 merger: GlobalCampaignMerger,
-                 tracker: IncidentTracker) -> None:
-        self.regions = list(regions)
-        self.engines = engines
-        self.all_engines: List[CorrelationEngine] = [
-            e for r in self.regions for e in engines[r]]
-        self.merger = merger
-        self.tracker = tracker
-
-    @classmethod
-    def fresh(cls, regions: Sequence[str], num_shards: int, *,
-              window_s: float, k: int, dedup_window_s: float,
-              max_lateness_s: float) -> "_AnalyticState":
-        engines = {
-            r: [CorrelationEngine(
-                    window_s=window_s, k=k, dedup_window_s=dedup_window_s,
-                    max_lateness_s=max_lateness_s)
-                for _ in range(num_shards)]
-            for r in regions}
-        return cls(regions, engines,
-                   GlobalCampaignMerger(window_s=window_s, k=k),
-                   IncidentTracker())
-
-    @classmethod
-    def from_snapshots(cls, regions: Sequence[str],
-                       base: Dict[str, object]) -> "_AnalyticState":
-        """Rebuild from the frozen snapshots of a reconciliation base
-        (the same restore path ``recover_soc_state`` trusts)."""
-        engines = {
-            r: [CorrelationEngine.from_snapshot(s)
-                for s in base["engines"][r]]
-            for r in regions}
-        return cls(regions, engines,
-                   GlobalCampaignMerger.from_snapshot(base["merger"]),
-                   IncidentTracker.from_snapshot(base["tracker"]))
-
-    def apply(self, region: str, record: LogRecord, *,
-              provisional: bool = False) -> List[CampaignDetection]:
-        """Apply one log record; returns the fleet-wide detections it
-        produced (empty for batch records)."""
-        if record.kind == "batch":
-            self.engines[region][record.shard].observe_batch(
-                list(record.events))
-            return []
-        # Pump marker: the region merged campaigns here; the hub merges
-        # fleet-wide, exactly as `recover_soc_state` replays a marker.
-        new_detections, new_vehicles = self.merger.merge(self.all_engines)
-        for detection in new_detections:
-            for engine in self.all_engines:
-                engine.adopt_campaign(detection)
-            self.tracker.open_from_detection(
-                detection,
-                SecurityOperationsCenter._base_severity(detection),
-                provisional=provisional)
-        for signature in sorted(new_vehicles):
-            for vehicle in sorted(new_vehicles[signature]):
-                self.tracker.attach_vehicle(signature, vehicle)
-        return new_detections
 
 
 class FederationHub:
@@ -475,9 +411,12 @@ class FederationHub:
         self.staleness_budget_s = staleness_budget_s
         self.receivers: Dict[str, SegmentReceiver] = {
             r: SegmentReceiver(r) for r in self.regions}
-        self._state = _AnalyticState.fresh(
-            self.regions, num_shards, window_s=window_s, k=k,
-            dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s)
+        # One flat engine list in fixed (region, shard) order, merged
+        # fleet-wide even when it holds a single engine.
+        self._state = AnalyticState.fresh(
+            len(self.regions) * num_shards, merged=True, window_s=window_s,
+            k=k, dedup_window_s=dedup_window_s,
+            max_lateness_s=max_lateness_s)
         self._region_index: Dict[str, int] = {
             r: i for i, r in enumerate(self.regions)}
         self._frontier: Dict[str, float] = {r: _NEG_INF for r in self.regions}
@@ -524,7 +463,11 @@ class FederationHub:
     # -- the live pieces under their historical names.
     @property
     def engines(self) -> Dict[str, List[CorrelationEngine]]:
-        return self._state.engines
+        """Replica engines by region (a view of the flat engine list)."""
+        n = self.num_shards
+        engines = self._state.engines
+        return {r: engines[i * n:(i + 1) * n]
+                for i, r in enumerate(self.regions)}
 
     @property
     def merger(self) -> GlobalCampaignMerger:
@@ -533,10 +476,6 @@ class FederationHub:
     @property
     def tracker(self) -> IncidentTracker:
         return self._state.tracker
-
-    @property
-    def _all_engines(self) -> List[CorrelationEngine]:
-        return self._state.all_engines
 
     @classmethod
     def from_profile(cls, regions: Sequence[str],
@@ -559,24 +498,30 @@ federation_profile` (regions in a federation share a configuration).
     # ------------------------------------------------------------------
     def receive(self, data: bytes) -> bool:
         """Route one wire blob to its region's receiver (the shipment
-        header names the region; an unknown region rejects)."""
+        header names the region; an unknown region rejects).  A record
+        naming a shard this hub has no engine for rejects the blob whole,
+        counted in that region's ``corrupt_rejected``."""
         try:
-            region = decode_shipment(data).region
+            shipment = decode_shipment(data)
         except CorruptRecord:
             # Can't even read the header: charge it to no region, but
             # count it so transport damage is never silent.
             self.corrupt_unrouted += 1
             return False
-        receiver = self.receivers.get(region)
+        receiver = self.receivers.get(shipment.region)
         if receiver is None:
             self.corrupt_unrouted += 1
             return False
-        if region in self._dead:
+        if shipment.region in self._dead:
             # A declared-dead region's stream is truncated: late blobs
             # are refused whole so its applied prefix stays frozen.
             self.dead_rejected += 1
             return False
-        return receiver.receive(data)
+        if any(record.shard >= self.num_shards
+               for record in shipment.records):
+            receiver.corrupt_rejected += 1
+            return False
+        return receiver.accept(shipment)
 
     def _note_progress(self) -> None:
         """Advance each region's contiguous-knowledge bound and stamp
@@ -682,8 +627,8 @@ federation_profile` (regions in a federation share a configuration).
         self.records_applied += 1
         if record.kind != "batch":
             self.pumps_applied += 1
-        new_detections = self._state.apply(
-            region, record, provisional=self._episode_active)
+        new_detections = self._apply(self._state, region, record,
+                                     provisional=self._episode_active)
         if self._episode_active:
             self._suffix.append((region, record))
             key = (record.dispatch_t, self._region_index[region])
@@ -697,6 +642,19 @@ federation_profile` (regions in a federation share a configuration).
                 self._provisional.append((now, detection))
                 self.provisional_log.append((now, detection))
 
+    def _apply(self, state: AnalyticState, region: str, record: LogRecord,
+               provisional: bool = False) -> List[CampaignDetection]:
+        """Apply one log record to ``state``; returns the fleet-wide
+        detections it produced (a pump marker's merge; none for a
+        batch).  The region merged campaigns at its own marker; the hub
+        merges fleet-wide at every region's marker."""
+        if record.kind == "batch":
+            state.apply_batch(
+                self._region_index[region] * self.num_shards + record.shard,
+                list(record.events))
+            return []
+        return state.end_pump(provisional=provisional)
+
     # ------------------------------------------------------------------
     # Optimistic episodes
     # ------------------------------------------------------------------
@@ -707,10 +665,7 @@ federation_profile` (regions in a federation share a configuration).
         self._episode_active = True
         self.episodes += 1
         self._base = {
-            "engines": {r: [e.snapshot() for e in self._state.engines[r]]
-                        for r in self.regions},
-            "merger": self._state.merger.snapshot(),
-            "tracker": self._state.tracker.snapshot(),
+            "state": self._state.snapshot(),
             "detection_log_len": len(self.detection_log),
         }
         self._suffix = []
@@ -760,10 +715,10 @@ federation_profile` (regions in a federation share a configuration).
             self._suffix,
             key=lambda item: (item[1].dispatch_t, order[item[0]],
                               item[1].seq))
-        shadow = _AnalyticState.from_snapshots(self.regions, self._base)
+        shadow = AnalyticState.from_snapshot(self._base["state"])
         shadow_detections: List[CampaignDetection] = []
         for region, record in suffix:
-            shadow_detections.extend(shadow.apply(region, record))
+            shadow_detections.extend(self._apply(shadow, region, record))
         shadow_by_sig = {d.signature: d for d in shadow_detections}
         old_tracker = self._state.tracker
         fresh: List[Amendment] = []
@@ -879,18 +834,17 @@ federation_profile` (regions in a federation share a configuration).
                     self.tracker.attach_vehicle(detection.signature, vehicle)
                 continue
             adopted += 1
-            for engine in self._all_engines:
+            for engine in self._state.engines:
                 engine.adopt_campaign(detection)
-            self.tracker.open_from_detection(
-                detection,
-                SecurityOperationsCenter._base_severity(detection))
+            self.tracker.open_from_detection(detection,
+                                             base_severity(detection))
         return adopted, deduped
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def flagged_signatures(self) -> Set[str]:
-        return set(self.merger.flagged_signatures)
+        return self._state.flagged_signatures()
 
     def unapplied(self) -> int:
         """Records received but not yet applied (in-order gaps included)."""

@@ -55,6 +55,7 @@ is the running max event time.  Records before a checkpoint all have
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -152,15 +153,30 @@ class ScanHit:
 
 
 def _record_from_payload(seq: int, payload: bytes) -> LogRecord:
-    obj = json.loads(payload.decode("utf-8"))
-    if obj[0] == "b":
-        return LogRecord(seq=seq, kind="batch", dispatch_t=float(obj[1]),
-                         shard=int(obj[2]),
-                         events=tuple(_event_from_obj(e) for e in obj[3]))
-    if obj[0] == "m":
-        return LogRecord(seq=seq, kind="mark", dispatch_t=float(obj[1]),
-                         pump_no=int(obj[2]))
-    raise CorruptRecord(f"unknown record tag {obj[0]!r} at seq {seq}")
+    """Parse one CRC-verified record payload.  Any malformed content
+    raises :class:`CorruptRecord` (the log's writer never produces a
+    negative shard or a non-finite time, so one means the bytes did not
+    come from it)."""
+    try:
+        obj = json.loads(payload.decode("utf-8"))
+        tag, dispatch_t = obj[0], float(obj[1])
+        if tag == "b":
+            record = LogRecord(
+                seq=seq, kind="batch", dispatch_t=dispatch_t,
+                shard=int(obj[2]),
+                events=tuple(_event_from_obj(e) for e in obj[3]))
+        elif tag == "m":
+            record = LogRecord(seq=seq, kind="mark", dispatch_t=dispatch_t,
+                               pump_no=int(obj[2]))
+        else:
+            raise CorruptRecord(f"unknown record tag {tag!r} at seq {seq}")
+    except CorruptRecord:
+        raise
+    except Exception as exc:
+        raise CorruptRecord(f"undecodable record at seq {seq}: {exc}") from exc
+    if record.shard < 0 or not math.isfinite(dispatch_t):
+        raise CorruptRecord(f"out-of-range shard or time at seq {seq}")
+    return record
 
 
 def record_payload(record: LogRecord) -> bytes:

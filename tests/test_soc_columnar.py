@@ -349,7 +349,7 @@ class TestColumnarCenter:
     def test_columnar_center_identical_to_scalar(self, num_shards):
         scalar = _responding_scene(False, num_shards)
         columnar = _responding_scene(True, num_shards)
-        assert columnar.correlators[0].columnar_batches > 0
+        assert columnar.analytics.engines[0].columnar_batches > 0
         assert columnar.metrics() == scalar.metrics()
         assert columnar.flagged_signatures() == scalar.flagged_signatures()
         assert columnar.flagged_signatures()

@@ -14,6 +14,7 @@ duplication of the shipped segments yields the same final hub state as
 in-order delivery.
 """
 
+import dataclasses
 import json
 import random
 
@@ -38,6 +39,7 @@ from repro.soc import (
     make_event,
 )
 from repro.experiments.e18_federation import build_federated_scene
+from repro.soc.store import canonical_dumps, frame_payload, record_payload
 
 
 def ev(vehicle, sig, time, seq, severity=Asil.B):
@@ -193,6 +195,45 @@ class TestShipmentCodec:
         with pytest.raises(CorruptRecord):
             decode_shipment(b"")
 
+    @pytest.mark.parametrize("damage", [
+        lambda head, recs: (b"not json", recs),
+        lambda head, recs: (canonical_dumps(head[:3]), recs),
+        lambda head, recs: (canonical_dumps(["h", ["region-a"]] + head[2:]),
+                            recs),
+        lambda head, recs: (canonical_dumps(head[:3] + [head[2] - 1,
+                                                        head[4]]), []),
+        lambda head, recs: (head, [b"\xff{"] + recs[1:]),
+        lambda head, recs: (head, [recs[0].replace(b'"ids"', b'"bogus"')]
+                            + recs[1:]),
+        lambda head, recs: (head, [recs[0].replace(b'["b",0.25,0,',
+                                                   b'["b",0.25,-1,')]
+                            + recs[1:]),
+        lambda head, recs: (head, [recs[0].replace(b'["b",0.25,',
+                                                   b'["b",Infinity,')]
+                            + recs[1:]),
+    ], ids=["header-not-json", "header-3-fields", "header-region-not-str",
+            "header-no-records", "record-not-json", "unknown-event-source",
+            "negative-shard", "non-finite-time"])
+    def test_malformed_payload_with_valid_crc_fails_closed(self, tmp_path,
+                                                           damage):
+        shipment = _shipment_from_log(tmp_path)
+        head = ["h", shipment.region, shipment.first_seq, shipment.last_seq,
+                shipment.watermark]
+        recs = [record_payload(r) for r in shipment.records]
+        head, recs = damage(head, recs)
+        if isinstance(head, list):
+            head = canonical_dumps(head)
+        blob = b"".join(frame_payload(p) for p in [head] + recs)
+        with pytest.raises(CorruptRecord):
+            decode_shipment(blob)
+        receiver = SegmentReceiver("region-a")
+        assert not receiver.receive(blob)
+        assert receiver.corrupt_rejected == 1
+        hub = FederationHub(["region-a"], 2)
+        assert not hub.receive(blob)
+        assert hub.corrupt_unrouted == 1
+        assert hub.finalize(0.0) == 0
+
     def test_empty_shipment_refuses_to_encode(self):
         with pytest.raises(ValueError):
             encode_shipment(Shipment(region="r", first_seq=1, last_seq=0,
@@ -342,7 +383,7 @@ class TestFederationHubUnits:
             FederationHub(["a", "a"])
 
     def test_receive_routes_and_counts_unrouted(self, tmp_path):
-        hub = FederationHub(["region-a"], 1)
+        hub = FederationHub(["region-a"], 2)  # the log spans shards 0, 1
         blob = encode_shipment(_shipment_from_log(tmp_path, "region-a"))
         assert hub.receive(blob)
         assert hub.receivers["region-a"].shipments_received == 1
@@ -352,14 +393,29 @@ class TestFederationHubUnits:
         assert not hub.receive(foreign)
         assert hub.corrupt_unrouted == 2
 
+    @pytest.mark.parametrize("shard", [1, 5])
+    def test_out_of_range_shard_rejects_the_blob(self, tmp_path, shard):
+        shipment = _shipment_from_log(tmp_path, "region-a")
+        records = tuple(dataclasses.replace(r, shard=shard)
+                        if r.kind == "batch" else r
+                        for r in shipment.records)
+        blob = encode_shipment(dataclasses.replace(shipment,
+                                                   records=records))
+        hub = FederationHub(["region-a"], 1)
+        assert not hub.receive(blob)
+        receiver = hub.receivers["region-a"]
+        assert receiver.corrupt_rejected == 1
+        assert receiver.records_received == 0
+        assert hub.finalize(0.0) == 0
+
     def test_adopt_verdicts_opens_once_and_unions_spread(self):
         hub = FederationHub(["a", "b"], 1, k=3)
         first = _detection(vehicles=("v1", "v2", "v3"))
         assert hub.adopt_verdicts([first]) == (1, 0)
         assert hub.flagged_signatures() == {"xr.sig"}
         assert len(hub.tracker.incidents) == 1
-        for engine in hub._all_engines:
-            assert engine.is_flagged("xr.sig")
+        for engines in hub.engines.values():
+            assert all(engine.is_flagged("xr.sig") for engine in engines)
         # The same campaign id from the second region dedups; its
         # vehicles still attach to the open incident.
         again = _detection(vehicles=("v7", "v8", "v9"))
