@@ -389,7 +389,7 @@ def _drive_mttr(root, kill_every_worker: bool,
         if kill_every_worker and rnd == kill_round:
             t0 = time.perf_counter()
             for shard in range(num_workers):
-                svc.sigkill_worker(shard)
+                svc.kill_worker(shard)
             if svc.check_workers() != num_workers:
                 raise AssertionError("supervisor missed a dead worker")
             while svc.inflight_batches():

@@ -39,8 +39,9 @@ out.  This package is that backend:
 - :mod:`repro.soc.store` -- durable substrate: a segmented append-only
   CRC-framed event log with a sparse time index for forensics scans,
   plus atomic, CRC-guarded snapshots of the analytic state; recovery is
-  snapshot + log-suffix replay (:func:`~repro.soc.center.recover_soc_state`),
-  differential-tested byte-identical to an uninterrupted run.
+  snapshot + log-suffix replay up to the last pump marker
+  (:func:`~repro.soc.center.recover_soc_state`), differential-tested
+  byte-identical to an uninterrupted run.
 - :mod:`repro.soc.analytics` -- :class:`~repro.soc.analytics.AnalyticState`,
   the one state machine (engines, optional merger, incident tracker)
   the live center, crash recovery and the federation hub all drive.
@@ -73,9 +74,10 @@ out.  This package is that backend:
   verified by the owning worker, keys derived per vehicle via
   :func:`~repro.soc.service.derive_session_key`), per-client byte
   quotas (:class:`~repro.soc.ingest.TokenBucket` with hard REFUSED
-  frames and flood disconnect), and a supervisor that auto-restarts
-  SIGKILLed workers (snapshot + log-suffix replay + journal-deduped
-  handoff resubmission) without losing a single admitted-batch ACK.
+  frames and flood disconnect), and a supervisor that restarts every
+  killed worker from its last pump marker (snapshot + log-suffix replay
+  + journal-deduped handoff resubmission) without losing a single
+  admitted-batch ACK.
 
 Experiment E17 (:mod:`repro.experiments.e17_soc`) sweeps fleet size and
 attack prevalence over this stack; E18

@@ -386,31 +386,29 @@ class RecoveredAnalytics(AnalyticState):
                 **self.snapshot()}
 
 
-def recover_soc_state(store: DurableStore,
-                      mark_boundary_only: bool = False
-                      ) -> RecoveredAnalytics:
+def recover_soc_state(store: DurableStore) -> RecoveredAnalytics:
     """Rebuild the analytic state a dead SOC process would have had.
 
-    Loads the latest valid snapshot, then replays every log record after
-    the snapshot's ``log_seq`` through :class:`AnalyticState`: batch
-    records go to :meth:`~AnalyticState.apply_batch` with the owning
-    shard and the exact batch boundaries of the live dispatch path, and
-    each pump marker runs :meth:`~AnalyticState.end_pump`, reproducing
-    the live pump/merge cadence.  The result is byte-identical (under
+    Loads the latest valid snapshot, then replays the log records after
+    the snapshot's ``log_seq`` through :class:`AnalyticState`, stopping
+    at the last pump marker -- the one commit point.  Batch records are
+    held until the marker that seals them arrives; then they go to
+    :meth:`~AnalyticState.apply_batch` with the owning shard and the
+    exact batch boundaries of the live dispatch path, and the marker
+    runs :meth:`~AnalyticState.end_pump`, reproducing the live
+    pump/merge cadence.  The result is byte-identical (under
     :meth:`RecoveredAnalytics.analytics_snapshot`) to the uninterrupted
     run at the same pump boundary -- the tentpole differential in
     ``tests/test_soc_store.py``.
 
-    With ``mark_boundary_only`` batch records are applied only once the
-    pump marker that seals them arrives; a trailing run of batch records
-    past the last marker (a handoff the process died inside) is left
-    unapplied, so the recovered state lands exactly on a handoff
-    boundary.  This is the worker auto-restart contract: the frontend
-    resubmits the torn handoff, and re-processing it from the boundary
-    is what makes restart byte-identical to the uninterrupted twin
-    (:class:`~repro.soc.service.WorkerCore` pairs this with
-    :meth:`~repro.soc.store.EventLog.truncate_after_last_mark` so the
-    log *bytes* agree too).
+    A trailing run of batch records past the last marker (a handoff the
+    process died inside) is left unapplied, so the recovered state lands
+    exactly on a handoff boundary.  That is the worker auto-restart
+    contract: the frontend resubmits the torn handoff, and re-processing
+    it from the boundary is what makes restart byte-identical to the
+    uninterrupted twin (:class:`~repro.soc.service.WorkerCore` pairs
+    this with :meth:`~repro.soc.store.EventLog.truncate_after_last_mark`
+    so the log *bytes* agree too).
     """
     snap = store.snapshots.load_latest()
     if snap is None:
@@ -422,27 +420,19 @@ def recover_soc_state(store: DurableStore,
     state.pump_no = snap["pump_no"]
     state.log_seq = snap["log_seq"]
 
-    def apply(record) -> None:
-        state.replayed_batches += 1
-        state.replayed_events += len(record.events)
-        state.apply_batch(record.shard, list(record.events))
-
     pending: List = []  # batch records awaiting their sealing marker
-    for record in store.log.replay(after_seq=snap["log_seq"]):
+    for record in store.log.tail(after_seq=snap["log_seq"]):
         if record.kind == "batch":
-            if mark_boundary_only:
-                pending.append(record)
-                continue
-            state.log_seq = record.seq
-            apply(record)
-        else:  # pump marker: the live run closed a pump here
-            for sealed in pending:
-                apply(sealed)
-            pending.clear()
-            state.log_seq = record.seq
-            state.replayed_pumps += 1
-            state.pump_no = record.pump_no
-            state.end_pump()
-    # mark_boundary_only: anything still pending is a torn handoff past
-    # the last marker -- deliberately not applied (see docstring).
+            pending.append(record)
+            continue
+        # Pump marker: the live run closed a pump here.
+        for sealed in pending:
+            state.replayed_batches += 1
+            state.replayed_events += len(sealed.events)
+            state.apply_batch(sealed.shard, list(sealed.events))
+        pending.clear()
+        state.log_seq = record.seq
+        state.replayed_pumps += 1
+        state.pump_no = record.pump_no
+        state.end_pump()
     return state

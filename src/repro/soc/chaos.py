@@ -446,7 +446,7 @@ class ServiceChaosRunner:
                     targets = ([shard] if shard is not None
                                else list(range(self.num_workers)))
                     for t in targets:
-                        svc.sigkill_worker(t)
+                        svc.kill_worker(t)
                         self.report["faults_injected"] += 1
                     restarted = svc.check_workers()
                     self.report["worker_restarts"] += restarted

@@ -307,7 +307,9 @@ class IngestPipeline:
         """Admit one event; returns True if it made it into the queue."""
         admit = self.stats["admit"]
         admit.entered += 1
-        if not event.vehicle_id or event.time < 0 or event.time > now + 1e-9:
+        # A chained range test, so a NaN time (every comparison False)
+        # is rejected too.
+        if not event.vehicle_id or not 0 <= event.time <= now + 1e-9:
             self.rejected_invalid += 1
             return False
         if event.severity < self.min_severity:

@@ -55,10 +55,14 @@ Design rules, each load-bearing for the >=3x multiprocess scaling:
 Every worker owns a full single-shard analytic stack -- ingest pipeline,
 :class:`~repro.soc.correlate.CorrelationEngine`, incident tracker, and a
 :class:`~repro.soc.store.DurableStore` -- driven through
-:meth:`~repro.soc.center.SecurityOperationsCenter.service_pump`, so the
-PR 4 recovery contract holds **per worker**: SIGKILL a worker process,
-then :func:`recover_worker` (snapshot + log-suffix replay) rebuilds its
-correlator state byte-identically (``tests/test_soc_service.py``).
+:meth:`~repro.soc.center.SecurityOperationsCenter.service_pump`, whose
+pump marker is the worker's one commit point.  A process death is the
+one failure the service knows: :meth:`IngestService.kill_worker`
+SIGKILLs a worker, and the supervisor (:meth:`IngestService.\
+check_workers`) restarts it from its last pump marker and resubmits
+every unacked handoff, byte-identical to an uninterrupted twin
+(``tests/test_soc_hardening.py``); :func:`recover_worker` rebuilds the
+same state offline.
 
 ``mode="inline"`` is the deterministic single-process fallback: the same
 wire path, buffers and worker cores, with handoffs executed synchronously
@@ -525,8 +529,7 @@ class WorkerCore:
                 # handoffs re-archives the exact bytes the twin wrote.
                 store.log.truncate_after_last_mark()
                 try:
-                    recovered = recover_soc_state(
-                        store, mark_boundary_only=True)
+                    recovered = recover_soc_state(store)
                 except RuntimeError:  # pragma: no cover - killed pre-snap-0
                     recovered = None  # nothing recoverable: start fresh
         elif recover:
@@ -707,18 +710,13 @@ class WorkerReport:
     handoff_seq: int = -1
 
 
-def recover_worker(root, index: int,
-                   for_restart: bool = False) -> RecoveredAnalytics:
+def recover_worker(root, index: int) -> RecoveredAnalytics:
     """Rebuild shard worker ``index``'s analytic state from its durable
     store -- the per-worker crash-recovery entry point (snapshot +
-    log-suffix replay via :func:`~repro.soc.center.recover_soc_state`).
-
-    ``for_restart`` applies the live auto-restart discipline offline:
-    stop at the last sealed handoff boundary (trailing batch records
-    past the last pump marker belong to a handoff the frontend will
-    resubmit) instead of replaying every surviving record."""
-    return recover_soc_state(DurableStore(worker_root(root, index)),
-                             mark_boundary_only=for_restart)
+    log-suffix replay up to the last pump marker via
+    :func:`~repro.soc.center.recover_soc_state`; batch records past it
+    belong to a handoff the frontend resubmits)."""
+    return recover_soc_state(DurableStore(worker_root(root, index)))
 
 
 # ----------------------------------------------------------------------
@@ -767,9 +765,6 @@ class _InlineBackend:
     def restart(self, shard: int, min_capacity: int = 0) -> None:
         """Rebuild a killed core from its durable store (deterministic
         inline twin of the process backend's respawn)."""
-        if self.root is None:
-            raise RuntimeError("cannot restart a worker without a "
-                               "durable root")
         self.cores[shard] = WorkerCore(shard, self.root, self.config,
                                        recover=True)
 
@@ -973,12 +968,14 @@ class IngestService:
       :meth:`route` (REFUSED frame, credit returned, counted in
       ``quota_refused``) and the connection gets a *targeted* SUPPRESS
       until its bucket refills.
-    * **Worker auto-restart** -- with a durable ``root``,
-      :meth:`check_workers` respawns dead workers (snapshot +
-      log-suffix replay) and resubmits every unacked handoff from the
-      in-flight ledger in sequence order; the per-handoff journal makes
-      the replay exactly-once, so clients never lose an ACK for an
-      admitted batch.
+    * **Worker auto-restart** -- a worker's death (a real crash, or
+      :meth:`kill_worker`) is the one failure mode.  With a durable
+      ``root``, :meth:`check_workers` respawns dead workers from their
+      last pump marker (snapshot + log-suffix replay) and resubmits
+      every unacked handoff from the in-flight ledger in sequence
+      order; the per-handoff journal makes the replay exactly-once, so
+      clients never lose an ACK for an admitted batch.  Without a root
+      nothing could be recovered, so there is no supervisor.
     """
 
     def __init__(self, num_workers: int = 1, *, mode: str = "process",
@@ -989,7 +986,6 @@ class IngestService:
                  quota_bytes_per_s: Optional[float] = None,
                  quota_burst_bytes: Optional[float] = None,
                  quota_disconnect_after: Optional[int] = None,
-                 supervise: Optional[bool] = None,
                  handshake_timeout_s: float = 5.0,
                  max_preauth_bytes: int = 4096,
                  max_half_open: int = 1024,
@@ -1012,9 +1008,9 @@ class IngestService:
             else (4.0 * quota_bytes_per_s
                   if quota_bytes_per_s is not None else None))
         self.quota_disconnect_after = quota_disconnect_after
-        # Auto-restart needs a durable store to replay from; default the
-        # supervisor on exactly when one exists.
-        self.supervise = (root is not None) if supervise is None else supervise
+        # Auto-restart needs a durable store to replay from: the
+        # supervisor runs exactly when one exists.
+        self.root = root
         self.handshake_timeout_s = handshake_timeout_s
         self.max_preauth_bytes = max_preauth_bytes
         self.max_half_open = max_half_open
@@ -1063,7 +1059,6 @@ class IngestService:
         self.quota_refused_bytes = 0
         self.quota_disconnects = 0
         self.batches_cmac_rejected = 0
-        self.batches_forgotten = 0
         self.worker_restarts = 0
         self.duplicate_reports = 0
         self.handoffs_resubmitted = 0
@@ -1266,33 +1261,19 @@ class IngestService:
     def suppressed(self, shard: int) -> bool:
         return self._suppressed[shard]
 
-    # -- worker failure: lossy kill vs supervised restart ---------------
+    # -- worker failure: a process death, then supervised restart -------
     def kill_worker(self, shard: int) -> None:
-        """Crash one shard worker (SIGKILL in process mode, dropped
-        core inline) and *forget* its in-flight work -- the lossy
-        operator-level path the kill-a-worker recovery tests drive.
-        Anything buffered or in flight for the shard is lost unacked
-        (counted in ``batches_forgotten``): the client-side credit
-        ledger sees exactly which batches died.  Compare
-        :meth:`sigkill_worker`, which keeps the ledger so the
-        supervisor can replay."""
-        self.backend.kill(shard)
-        self.batches_forgotten += (len(self._buffers[shard])
-                                   + self.inflight_batches(shard))
-        self._buffers[shard] = []
-        self._inflight[shard].clear()
-        self._outstanding[shard] = 0
-        # A crash empties the shard's pipeline: recompute SUPPRESS now,
-        # or surviving connections stay muted until unrelated traffic
-        # next touches the shard.
-        self._congested[shard] = False
-        self._update_suppression(shard)
-
-    def sigkill_worker(self, shard: int) -> None:
-        """Crash one shard worker *without* forgetting its work: the
-        in-flight ledger and shard buffer survive, so
-        :meth:`check_workers` can restart the worker and replay every
-        unacked handoff -- the MTTR / zero-ack-loss path."""
+        """Crash one shard worker (SIGKILL in process mode, dropped core
+        inline) exactly as a real process death would: no snapshot, no
+        close.  The in-flight ledger and the shard buffer survive, so
+        :meth:`check_workers` restarts the worker from its last pump
+        marker and replays every unacked handoff -- the MTTR /
+        zero-ack-loss path.  Without a durable ``root`` nothing could
+        restart the worker, so this raises :class:`RuntimeError` before
+        killing anything."""
+        if self.root is None:
+            raise RuntimeError("cannot kill a worker without a durable "
+                               "root: nothing could restart it")
         self.backend.kill(shard)
 
     def check_workers(self) -> int:
@@ -1302,7 +1283,7 @@ class IngestService:
         in-flight ledger in sequence order with their *original*
         timestamps -- replay must be deterministic, not re-stamped.
         Returns the number of workers restarted."""
-        if not self.supervise or self.closed:
+        if self.root is None or self.closed:
             return 0
         restarted = 0
         for shard in self.backend.dead_workers():
@@ -1374,7 +1355,6 @@ class IngestService:
             "quota_refused_bytes": float(self.quota_refused_bytes),
             "quota_disconnects": float(self.quota_disconnects),
             "batches_cmac_rejected": float(self.batches_cmac_rejected),
-            "batches_forgotten": float(self.batches_forgotten),
             "worker_restarts": float(self.worker_restarts),
             "duplicate_reports": float(self.duplicate_reports),
             "handoffs_resubmitted": float(self.handoffs_resubmitted),
@@ -1458,6 +1438,19 @@ class IngestServer:
             if service.mode == "inline":
                 self._write_acks(service.poll_completions())
 
+    def _welcome(self, client_id: str,
+                 writer: asyncio.StreamWriter) -> _Conn:
+        """Open the session: register the connection, grant its initial
+        credits (WELCOME), and SUPPRESS it at once if its shard is
+        already under backpressure."""
+        service = self.service
+        conn = service.open_conn(client_id, writer)
+        writer.write(frame_payload(encode_welcome(
+            conn.shard, service.num_workers, service.initial_credits)))
+        if conn.suppressed:
+            writer.write(frame_payload(encode_suppress()))
+        return conn
+
     async def _handshake(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter,
                          decoder: FrameStreamDecoder
@@ -1485,13 +1478,7 @@ class IngestServer:
                 if msg[0] == _T_HELLO and client_id is None:
                     client_id = msg[1]
                     if fleet_key is None:
-                        conn = service.open_conn(client_id, writer)
-                        writer.write(frame_payload(encode_welcome(
-                            conn.shard, service.num_workers,
-                            service.initial_credits)))
-                        if conn.suppressed:
-                            writer.write(frame_payload(encode_suppress()))
-                        return conn, pending
+                        return self._welcome(client_id, writer), pending
                     nonce = os.urandom(16)
                     writer.write(frame_payload(encode_challenge(nonce)))
                 elif msg[0] == _T_AUTH and client_id is not None:
@@ -1505,13 +1492,7 @@ class IngestServer:
                             + client_id.encode("utf-8") + b"|" + nonce, tag):
                         service.auth_failures += 1
                         return None, []
-                    conn = service.open_conn(client_id, writer)
-                    writer.write(frame_payload(encode_welcome(
-                        conn.shard, service.num_workers,
-                        service.initial_credits)))
-                    if conn.suppressed:
-                        writer.write(frame_payload(encode_suppress()))
-                    return conn, pending
+                    return self._welcome(client_id, writer), pending
                 else:
                     # Anything else pre-session (BATCH before HELLO,
                     # duplicate HELLO, AUTH without challenge) is a
@@ -1774,20 +1755,10 @@ class VehicleClient:
             if not kept:
                 return None
             events = kept
-        while self.credits <= 0 and not self.closed:
-            self._credit_evt.clear()
-            await self._credit_evt.wait()
-        if self.closed or self._writer.is_closing():
-            raise ConnectionError("connection closed")
-        self.credits -= 1
         batch_id = self._next_batch
         self._next_batch += 1
-        self._pending[batch_id] = (self.clock(), len(events))
-        self._writer.write(frame_payload(
-            self.seal(encode_batch(batch_id, events))))
-        self.batches_sent += 1
-        self.events_sent += len(events)
-        return batch_id
+        return await self.send_payload(
+            self.seal(encode_batch(batch_id, events)), len(events))
 
     async def send_payload(self, payload: bytes, n_events: int = 0) -> int:
         """Send a pre-encoded BATCH payload (the zero-copy path the

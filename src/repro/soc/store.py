@@ -19,9 +19,10 @@ the step after the 10^7-vehicle scale-out:
 Recovery contract (differential-tested byte-identical in
 ``tests/test_soc_store.py``): load the latest valid snapshot, replay the
 log suffix after the snapshot's ``log_seq`` through ``observe_batch``,
-re-running the campaign merge at every pump marker.  The recovered
-correlator/merger/tracker state equals an uninterrupted run's state at
-the kill point, at 1 and N shards.
+re-running the campaign merge at every pump marker and stopping at the
+last one (the commit point).  The recovered correlator/merger/tracker
+state equals an uninterrupted run's state at that marker, at 1 and N
+shards.
 
 On-disk record format (one segment file = ``SOCLOG1\\n`` magic + records)::
 
@@ -98,9 +99,15 @@ def _event_obj(event: SecurityEvent) -> list:
 
 def _event_from_obj(obj: Sequence) -> SecurityEvent:
     eid, t, vid, src, sig, sev, detail = obj
+    t = float(t)
+    if not math.isfinite(t):
+        # json.loads accepts NaN/Infinity, but the log's encoder refuses
+        # them and every admission comparison with NaN is False: refuse
+        # here, so wire, log and shipment decode all fail closed.
+        raise CorruptRecord(f"non-finite event time {t!r}")
     return SecurityEvent(
         event_id=eid,
-        time=float(t),
+        time=t,
         vehicle_id=vid,
         source=EventSource(src),
         signature=sig,
@@ -580,28 +587,17 @@ class EventLog:
                                           None, None, []))
         return infos
 
-    def replay(self, after_seq: int = 0) -> Iterator[LogRecord]:
-        """Yield every record with ``seq > after_seq`` in append order
-        (batches *and* pump markers -- recovery replays both)."""
-        self._fh.flush()  # the active segment must be readable
-        for info in self._segment_infos():
-            if info.first_seq + info.count - 1 <= after_seq:
-                continue
-            for i, (_, payload) in enumerate(_iter_payloads(info.path)):
-                seq = info.first_seq + i
-                if seq <= after_seq:
-                    continue
-                yield _record_from_payload(seq, payload)
-
     def tail(self, after_seq: int = 0) -> Iterator[LogRecord]:
-        """Yield every record with ``seq > after_seq`` like
-        :meth:`replay`, but *seek* instead of rescan: segments wholly at
-        or before ``after_seq`` are skipped by their sidecar metadata,
-        and within the first overlapping segment the sparse index jumps
-        to the last checkpoint at or before the resume point.  This is
-        the shipper's read path -- called once per pump with a
-        monotonically advancing cursor, it reads O(new records +
-        ``index_every``) instead of O(segment size).
+        """Yield every record with ``seq > after_seq`` in append order
+        (batches *and* pump markers) -- the log's one read loop, used by
+        crash recovery, the federation shipper and full re-reads alike
+        (``after_seq=0``).  It *seeks* instead of rescanning: segments
+        wholly at or before ``after_seq`` are skipped by their sidecar
+        metadata, and within the first overlapping segment the sparse
+        index jumps to the last checkpoint at or before the resume
+        point.  Called once per pump with a monotonically advancing
+        cursor, it reads O(new records + ``index_every``) instead of
+        O(segment size).
 
         ``last_tail_stats`` records ``segments_skipped``,
         ``records_read`` (records decoded, including up to

@@ -149,6 +149,16 @@ class TestIngestPipeline:
         assert not pipe.offer(1.0, ev("", "s", 0.5))        # no vehicle
         assert pipe.rejected_invalid == 2
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"),
+                                   float("-inf")])
+    def test_rejects_non_finite_event_time(self, t):
+        """Every comparison with NaN is False, so a NaN time once slipped
+        past a pair of ``<``/``>`` range checks into the queue."""
+        pipe = IngestPipeline()
+        assert not pipe.offer(1.0, ev("v1", "s", t))
+        assert pipe.rejected_invalid == 1
+        assert pipe.queue_depth == 0
+
     def test_capacity_budget_limits_dispatch(self):
         pipe = IngestPipeline(capacity_eps=10.0, batch_size=4)
         for i in range(30):

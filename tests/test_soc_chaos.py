@@ -160,7 +160,7 @@ class TestCorruptNext:
         for b in range(4):
             log.append_batch(0.25 * (b + 1), 0,
                              [ev(f"v{b}", "sig.0", 0.2 * b, b)])
-        records = tuple(log.replay())
+        records = tuple(log.tail())
         log.close()
         blob = encode_shipment(Shipment(
             region="region-a", first_seq=records[0].seq,
@@ -455,7 +455,7 @@ def _corpus(num_shards, columnar=False):
             scene.regions.values())).center.federation_profile()
         shipments = []
         for name in names:
-            records = list(scene.regions[name].store.log.replay())
+            records = list(scene.regions[name].store.log.tail())
             for i in range(0, len(records), 5):
                 chunk = records[i:i + 5]
                 shipments.append((name, chunk[-1].dispatch_t,

@@ -74,9 +74,11 @@ class TestEventLogTail:
         log = EventLog(tmp_path, segment_max_records=3, index_every=1)
         total = _fill_log(log, 10)
         assert log.segments_rotated >= 3
+        # Oracle: the full read from seq 1, which seeks nowhere.
+        full = list(log.tail())
+        assert [r.seq for r in full] == list(range(1, total + 1))
         for cursor in range(total + 1):
-            assert list(log.tail(after_seq=cursor)) == \
-                list(log.replay(after_seq=cursor))
+            assert list(log.tail(after_seq=cursor)) == full[cursor:]
         log.close()
 
     def test_tail_seeks_past_closed_segments(self, tmp_path):
@@ -108,7 +110,7 @@ class TestEventLogTail:
         fresh = list(log.tail(after_seq=cursor))
         assert [r.seq for r in fresh] == \
             list(range(cursor + 1, cursor + appended + 1))
-        assert fresh == list(log.replay(after_seq=cursor))
+        assert fresh == list(log.tail())[cursor:]
         # A cursor at a closed segment's boundary skips that segment.
         boundary = log._segment_infos()[0]
         edge = boundary.first_seq + boundary.count - 1
@@ -171,7 +173,7 @@ class TestAdoptCampaignDedup:
 def _shipment_from_log(tmp_path, region="region-a", n_batches=4):
     log = EventLog(tmp_path, segment_max_records=64)
     _fill_log(log, n_batches)
-    records = tuple(log.replay())
+    records = tuple(log.tail())
     log.close()
     return Shipment(region=region, first_seq=records[0].seq,
                     last_seq=records[-1].seq,
@@ -352,7 +354,7 @@ class TestShipperAndReceiver:
     def test_out_of_order_buffering(self, tmp_path):
         log = EventLog(tmp_path, segment_max_records=64)
         _fill_log(log, 4)
-        records = list(log.replay())
+        records = list(log.tail())
         log.close()
         one = encode_shipment(Shipment("r", records[0].seq, records[0].seq,
                                        records[0].dispatch_t,
@@ -456,7 +458,7 @@ def _union_reference_hub(scene):
     ref = FederationHub.from_profile(list(scene.regions), profile)
     for name, runtime in scene.regions.items():
         receiver = ref.receivers[name]
-        for record in runtime.store.log.replay():
+        for record in runtime.store.log.tail():
             receiver.buffer[record.seq] = record
     ref.finalize(0.0)
     return ref
@@ -471,7 +473,7 @@ def _global_engine_flagged(scene, profile):
         max_lateness_s=profile["max_lateness_s"])
     entries = []
     for index, name in enumerate(scene.regions):
-        for record in scene.regions[name].store.log.replay():
+        for record in scene.regions[name].store.log.tail():
             entries.append((record.dispatch_t, index, record.seq, record))
     entries.sort(key=lambda e: e[:3])
     for _, _, _, record in entries:
@@ -586,7 +588,7 @@ def shipment_corpus():
             scene.regions.values())).center.federation_profile()
         blobs = []
         for name in names:
-            records = list(scene.regions[name].store.log.replay())
+            records = list(scene.regions[name].store.log.tail())
             for i in range(0, len(records), 5):
                 chunk = records[i:i + 5]
                 blobs.append(encode_shipment(Shipment(

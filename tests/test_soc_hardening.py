@@ -7,8 +7,8 @@ SUPPRESS/REFUSED, and supervised worker auto-restart (exactly-once
 replay from the handoff journal, byte-identical to an uninterrupted
 twin) -- plus the pinned regressions for the frontend robustness
 bugfixes: malformed-BATCH ``CorruptRecord`` translation, stale SUPPRESS
-after ``kill_worker``, monotonic deadlines/latency, and the
-closing-transport write guard.
+after ``kill_worker``, non-finite event times, monotonic
+deadlines/latency, and the closing-transport write guard.
 """
 
 import asyncio
@@ -171,40 +171,55 @@ class TestDecoderRejectedBytes:
 
 
 # ----------------------------------------------------------------------
-# Pinned regression: kill_worker recomputes suppression
+# Pinned regression: a worker kill never strands SUPPRESS or batches
 # ----------------------------------------------------------------------
 class TestKillWorkerSuppressionRegression:
     def test_no_stale_suppress_after_crash(self, tmp_path):
-        """``kill_worker`` used to zero ``_outstanding`` without
-        recomputing SUPPRESS: survivors of a worker crash stayed muted
-        until unrelated traffic next touched the shard."""
+        """Survivors of a worker crash once stayed muted until unrelated
+        traffic next touched the shard.  After kill -> supervisor
+        restart -> completions, SUPPRESS must have lifted and the killed
+        worker's batch must be acked, not lost."""
         svc = IngestService(1, mode="inline", root=tmp_path,
                             suppress_after=1, resume_below=1,
-                            supervise=False, clock=lambda: 100.0)
+                            clock=lambda: 100.0)
         conn = svc.open_conn("veh-1")
         assert svc.route(conn, batch("veh-1", 0))
         svc.flush()
         assert svc.suppressed(0) and conn.suppressed
         svc.kill_worker(0)
-        # The crash emptied the shard's pipeline: suppression must lift
-        # NOW, not at the next unrelated flush.
+        svc.audit_conservation()
+        assert svc.inflight_batches() == 1  # kept on the ledger
+        assert svc.check_workers() == 1
+        svc.audit_conservation()
+        assert len(svc.poll_completions()) == 1
+        svc.audit_conservation()
         assert not svc.suppressed(0)
         assert not conn.suppressed
-        assert svc.batches_forgotten == 1
-        svc.audit_conservation()
+        assert svc.batches_acked == 1 and svc.inflight_batches() == 0
+        svc.drain_and_close()
 
-    def test_forgotten_work_counted_in_conservation(self, tmp_path):
+    def test_killed_work_is_acked_not_lost(self, tmp_path):
         svc = IngestService(1, mode="inline", root=tmp_path,
-                            supervise=False, clock=lambda: 100.0)
+                            clock=lambda: 1000.0)
         conn = svc.open_conn("veh-1")
         for rnd in range(3):
             assert svc.route(conn, batch("veh-1", rnd))
         svc.flush()          # 3 batches now in flight
         assert svc.route(conn, batch("veh-1", 3))  # 1 buffered
         svc.kill_worker(0)
-        assert svc.batches_forgotten == 4
-        assert svc.inflight_batches() == 0 and svc.buffered() == 0
+        assert svc.inflight_batches() == 3 and svc.buffered() == 1
         svc.audit_conservation()
+        assert svc.check_workers() == 1
+        svc.audit_conservation()
+        svc.flush()          # the buffered batch goes to the new worker
+        svc.audit_conservation()
+        acks = svc.poll_completions()
+        svc.audit_conservation()
+        assert sorted(batch_id for _, batch_id, _, _ in acks) == [0, 1, 2, 3]
+        assert svc.batches_acked == 4
+        assert svc.events_acked == 4 * 3  # exactly once, no re-admission
+        assert svc.inflight_batches() == 0 and svc.buffered() == 0
+        svc.drain_and_close()
 
     def test_cooked_metrics_detected(self, tmp_path):
         svc = IngestService(1, mode="inline", root=tmp_path,
@@ -217,6 +232,46 @@ class TestKillWorkerSuppressionRegression:
         svc.batches_routed += 1  # cook the books
         with pytest.raises(ConservationError):
             svc.audit_conservation()
+
+
+# ----------------------------------------------------------------------
+# Pinned regression: a non-finite event time fails closed
+# ----------------------------------------------------------------------
+NAN_BATCH = b'["e",1,[["e1",NaN,"v1","ids","sig.x",2,[]]]]'
+
+
+class TestNonFiniteEventTime:
+    def test_worker_refuses_the_batch_and_acks_the_next(self, tmp_path):
+        """A CRC-valid BATCH with a NaN event time used to pass decode
+        and then kill the worker inside the log append (and a restarted
+        worker got the same handoff again).  It must be refused whole
+        (``accepted=-1``) and the worker must go on acking."""
+        core = WorkerCore(0, tmp_path, ServiceConfig(max_lateness_s=7200.0))
+        r1 = core.ingest_handoff(1000.0, [(1, "v1", 1, NAN_BATCH)], seq=1)
+        assert r1.acks == ((1, 1, 0, -1),)
+        assert core.decode_errors == 1
+        r2 = core.ingest_handoff(1001.0,
+                                 [(1, "veh-1", 2, batch("veh-1", 2))],
+                                 seq=2)
+        assert r2.acks == ((1, 2, 3, 3),)
+        core.close()
+
+    def test_service_refuses_it_and_keeps_the_flow_identity(self, tmp_path):
+        svc = IngestService(1, mode="inline", root=tmp_path,
+                            clock=lambda: 1000.0)
+        evil, honest = svc.open_conn("v1"), svc.open_conn("veh-1")
+        assert svc.route(evil, NAN_BATCH)
+        assert svc.route(honest, batch("veh-1", 0))
+        svc.flush()
+        acks = {conn.client_id: accepted
+                for conn, _, _, accepted in svc.poll_completions()}
+        assert acks == {"v1": -1, "veh-1": 3}
+        svc.audit_conservation()
+        assert svc.route(honest, batch("veh-1", 1))
+        svc.flush()
+        assert [a[3] for a in svc.poll_completions()] == [3]
+        assert svc.backend.dead_workers() == []
+        svc.drain_and_close()
 
 
 # ----------------------------------------------------------------------
@@ -726,7 +781,7 @@ class TestTruncateAfterLastMark:
 
     @staticmethod
     def _kinds(log):
-        return [r.kind for r in log.replay()]
+        return [r.kind for r in log.tail()]
 
     def test_truncates_unmarked_suffix(self, tmp_path):
         log = self._log(tmp_path)
@@ -810,7 +865,7 @@ def _drive_with_kills(root, mode, kill_rounds, rounds=16, num_workers=2,
         if rnd in kill_rounds:
             t0 = time.monotonic()
             for shard in range(num_workers):
-                svc.sigkill_worker(shard)
+                svc.kill_worker(shard)
             assert svc.check_workers() == num_workers
             # MTTR: kill -> every resubmitted handoff reported back.
             while svc.inflight_batches():
@@ -879,22 +934,15 @@ class TestAutoRestart:
         assert len(mttrs) == 1
         assert mttrs[0] < 30.0  # generous CI bound; E20 publishes real MTTR
 
-    def test_unsupervised_service_does_not_restart(self, tmp_path):
-        svc = IngestService(1, mode="inline", root=tmp_path,
-                            supervise=False, clock=lambda: 100.0)
-        conn = svc.open_conn("veh-1")
-        assert svc.route(conn, batch("veh-1", 0))
-        svc.flush()
-        svc.sigkill_worker(0)
-        assert svc.check_workers() == 0
-        assert svc.worker_restarts == 0
-
     def test_restart_requires_durable_root(self):
-        svc = IngestService(1, mode="inline", supervise=True,
-                            clock=lambda: 100.0)
-        svc.sigkill_worker(0)
+        """Without a durable root nothing could restart a worker, so the
+        kill is refused before anything dies."""
+        svc = IngestService(1, mode="inline", clock=lambda: 100.0)
         with pytest.raises(RuntimeError):
-            svc.check_workers()
+            svc.kill_worker(0)
+        assert svc.backend.dead_workers() == []
+        assert svc.check_workers() == 0
+        svc.drain_and_close()
 
     def test_worker_core_recover_requires_root(self):
         with pytest.raises(ValueError):
@@ -948,8 +996,8 @@ class TestAutoRestart:
                             t0 + rnd + 0.01 * j, rnd * 10 + j)
                          for j in range(3)])
                 if rnd == 8:
-                    svc.sigkill_worker(0)
-                    svc.sigkill_worker(1)
+                    svc.kill_worker(0)
+                    svc.kill_worker(1)
                 await asyncio.sleep(0.002)
             for c in clients:
                 await c.drain()

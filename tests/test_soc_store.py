@@ -41,7 +41,8 @@ from repro.soc import (
     recover_soc_state,
     seeded_campaigns,
 )
-from repro.soc.store import _HEADER, _MAGIC
+from repro.soc.federation import decode_shipment
+from repro.soc.store import _HEADER, _MAGIC, frame_payload
 
 
 def ev(vehicle, sig, time, seq, severity=Asil.B):
@@ -96,6 +97,35 @@ class TestEventCodec:
         with pytest.raises(ValueError):
             encode_event(bad)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_time_fails_closed_on_decode(self, token):
+        """``json.loads`` accepts NaN/Infinity, which the encoder never
+        writes: decode must refuse them as corrupt, not build an event
+        every admission comparison gets wrong."""
+        with pytest.raises(CorruptRecord):
+            decode_event(('["e1",%s,"v1","ids","sig.x",2,[]]'
+                          % token).encode())
+
+    def test_non_finite_time_in_a_log_record_fails_closed(self, tmp_path):
+        log = EventLog(tmp_path / "log")
+        log.append_batch(1.0, 0, [ev("v1", "sig", 0.5, 1)])
+        log.close()
+        segment = sorted((tmp_path / "log").glob("seg-*.log"))[0]
+        with open(segment, "ab") as fh:
+            fh.write(frame_payload(
+                b'["b",2.0,0,[["e1",NaN,"v1","ids","sig.x",2,[]]]]'))
+        reopened = EventLog(tmp_path / "log")
+        with pytest.raises(CorruptRecord):
+            list(reopened.tail())
+        reopened.close()
+
+    def test_non_finite_time_in_a_shipment_fails_closed(self):
+        blob = (frame_payload(b'["h","region-a",1,1,2.0]')
+                + frame_payload(
+                    b'["b",2.0,0,[["e1",NaN,"v1","ids","sig.x",2,[]]]]'))
+        with pytest.raises(CorruptRecord):
+            decode_shipment(blob)
+
 
 # ----------------------------------------------------------------------
 # Log append / replay / rotation
@@ -109,7 +139,7 @@ class TestEventLog:
         log.append_batch(0.5, 1, events[3:7])
         log.append_batch(0.5, 0, events[7:])
         log.append_mark(0.5, 2)
-        records = list(log.replay())
+        records = list(log.tail())
         assert [r.kind for r in records] == [
             "batch", "mark", "batch", "batch", "mark"]
         assert [r.seq for r in records] == [1, 2, 3, 4, 5]
@@ -121,7 +151,7 @@ class TestEventLog:
         assert log.segments_rotated == 1
         assert len(log.segment_paths()) == 2
         # Replay of a suffix.
-        assert [r.seq for r in log.replay(after_seq=3)] == [4, 5]
+        assert [r.seq for r in log.tail(after_seq=3)] == [4, 5]
         log.close()
 
     def test_rotation_writes_sidecar_index(self, tmp_path):
@@ -147,7 +177,7 @@ class TestEventLog:
         assert reopened.last_seq == 4
         assert reopened.truncated_bytes == 0
         reopened.append(9.0, 0, ev("v9", "s", 9.0, 99))
-        assert [r.seq for r in reopened.replay()] == [1, 2, 3, 4, 5]
+        assert [r.seq for r in reopened.tail()] == [1, 2, 3, 4, 5]
         reopened.close()
 
     def test_fsync_policies_accepted_and_validated(self, tmp_path):
@@ -175,7 +205,7 @@ class TestEventLog:
         closed.write_bytes(bytes(blob))
         reopened = EventLog(tmp_path, segment_max_records=2)
         with pytest.raises(CorruptRecord):
-            list(reopened.replay())
+            list(reopened.tail())
         reopened.close()
 
 
@@ -213,10 +243,10 @@ class TestTornWriteRecovery:
         assert recovered.last_seq == whole
         assert recovered.truncated_bytes == cut - (
             ends[whole - 1] if whole else len(_MAGIC))
-        assert len(list(recovered.replay())) == whole
+        assert len(list(recovered.tail())) == whole
         # The log is immediately appendable again.
         recovered.append(99.0, 0, ev("vx", "sig", 99.0, 999))
-        assert [r.seq for r in recovered.replay()][-1] == whole + 1
+        assert [r.seq for r in recovered.tail()][-1] == whole + 1
         recovered.close()
 
     def test_torn_segment_creation_is_rewritten(self, tmp_path):
@@ -232,7 +262,7 @@ class TestTornWriteRecovery:
         assert recovered.truncated_bytes == 3
         assert recovered.last_seq == 1
         recovered.append(1.0, 0, ev("v2", "s", 1.0, 2))
-        assert [r.seq for r in recovered.replay()] == [1, 2]
+        assert [r.seq for r in recovered.tail()] == [1, 2]
         recovered.close()
 
 
@@ -261,7 +291,7 @@ class TestForensicsScan:
 
     def _brute(self, log, signature=None, vehicle_id=None, t0=None, t1=None):
         out = []
-        for record in log.replay():
+        for record in log.tail():
             if record.kind != "batch":
                 continue
             for event in record.events:
@@ -511,6 +541,23 @@ class TestCrashRecoveryDifferential:
         assert _canon(soc.analytics_snapshot()) == ref_state
         assert soc.metrics() == ref_metrics
         assert soc.flagged_signatures() == ref_flagged
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_batch_past_the_last_marker_is_not_recovered(
+            self, tmp_path, num_shards):
+        """The pump marker is the one commit point: a batch record the
+        process archived after it (a handoff it died inside) is left
+        unapplied, so recovery gives the state at that marker."""
+        sim, soc, store = _durable_scene(tmp_path, num_shards=num_shards)
+        sim.run_until(18 * soc.pump_tick_s)
+        live_at_marker = _canon(soc.analytics_snapshot())
+        marker_seq = store.log.last_seq
+        store.log.append_batch(sim.now, 0, [
+            ev(f"torn-{i}", "sig.torn", sim.now - 0.1, i)
+            for i in range(4)])
+        recovered = recover_soc_state(store)
+        assert recovered.log_seq == marker_seq
+        assert _canon(recovered.analytics_snapshot()) == live_at_marker
 
     def test_single_shard_center_drains_dirty_set_every_pump(
             self, tmp_path):
